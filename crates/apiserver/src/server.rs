@@ -28,8 +28,8 @@ type Review = (usize, Verb, ObjectRef, Option<Value>, Option<Value>);
 /// store commit → webhook `observe` notifications.
 pub struct ApiServer {
     store: Store,
-    /// Shared copy-on-write: plan-phase [`SnapshotView`]s hold an `Arc`
-    /// clone, so role edits mid-flight copy rather than race.
+    /// Shared copy-on-write: [`SnapshotView`]s hold an `Arc` clone, so
+    /// role edits after a view is taken copy rather than race.
     rbac: std::sync::Arc<Rbac>,
     schemas: std::collections::BTreeMap<String, KindSchema>,
     webhooks: Vec<Box<dyn AdmissionWebhook>>,
@@ -101,9 +101,9 @@ impl ApiServer {
 
     /// Mutable access to the RBAC authorizer (role/binding management).
     ///
-    /// Copy-on-write: if a plan-phase [`SnapshotView`] still holds the
-    /// current table, this clones it first, so in-flight plan jobs keep
-    /// authorizing against their wake-time view.
+    /// Copy-on-write: if a [`SnapshotView`] still holds the current
+    /// table, this clones it first, so the view keeps authorizing against
+    /// the table it captured.
     pub fn rbac_mut(&mut self) -> &mut Rbac {
         std::sync::Arc::make_mut(&mut self.rbac)
     }
@@ -113,28 +113,13 @@ impl ApiServer {
         &self.rbac
     }
 
-    /// An RBAC-checked read view over a wake-time store snapshot, detached
-    /// from the server's borrow (see [`SnapshotView`]).
+    /// An RBAC-checked read view over a store snapshot, detached from the
+    /// server's borrow (see [`SnapshotView`]).
     pub fn snapshot_view(&self) -> SnapshotView {
         SnapshotView {
             snapshot: self.store.snapshot(),
             rbac: std::sync::Arc::clone(&self.rbac),
         }
-    }
-
-    /// Runs `work` over `items` on the store's shard worker pool (the
-    /// coordinator thread doubles as lane 0), returning results in item
-    /// order. This is the plan-phase fan-out entry point: the worker cap
-    /// and pool are shared with batch commits, so parked lanes do double
-    /// duty. At a cap of 1 (or a single item) everything runs inline on
-    /// the caller's thread.
-    pub fn run_pooled<T, R, F>(&mut self, items: Vec<T>, work: F) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
-    {
-        self.store.run_pooled(items, work)
     }
 
     /// Current global store revision.
@@ -1073,8 +1058,8 @@ fn batch_to_store_op(op: BatchOp) -> Result<StoreOp, ApiError> {
 
 /// An RBAC-checked read view over a [`StoreSnapshot`]: serves
 /// [`ApiServer::get`]-equivalent reads — same authorization, same error
-/// shapes — without borrowing the server, so plan-phase jobs can read the
-/// wake-time state from worker threads while the coordinator moves on.
+/// shapes — without borrowing the server, so a reader can hold a
+/// commit-boundary state (on any thread) while the server moves on.
 ///
 /// Both halves are immutable captures: the snapshot is batch-boundary
 /// exact and the RBAC table is a copy-on-write `Arc` (see
@@ -1084,12 +1069,6 @@ fn batch_to_store_op(op: BatchOp) -> Result<StoreOp, ApiError> {
 pub struct SnapshotView {
     snapshot: StoreSnapshot,
     rbac: std::sync::Arc<Rbac>,
-}
-
-// Plan jobs move views onto shard workers; keep that statically true.
-#[allow(dead_code)]
-fn assert_snapshot_view_send_sync(v: SnapshotView) -> impl Send + Sync {
-    v
 }
 
 impl SnapshotView {
@@ -1102,11 +1081,6 @@ impl SnapshotView {
             .get(oref)
             .cloned()
             .ok_or_else(|| ApiError::NotFound(oref.clone()))
-    }
-
-    /// Checks `subject` against the captured RBAC table.
-    pub fn authorized(&self, subject: &str, verb: Verb, oref: &ObjectRef) -> bool {
-        self.rbac.authorize(subject, verb, oref)
     }
 
     /// The captured store revision.

@@ -1107,18 +1107,6 @@ impl Store {
         self.executor.set_spawn_per_batch(spawn);
     }
 
-    /// Runs `work` over `items` on the shard worker pool, returning
-    /// results in item order (see [`ShardExecutor::run`]). Lets the plan
-    /// phase borrow the same parked lanes batch commits use.
-    pub fn run_pooled<T, R, F>(&mut self, items: Vec<T>, work: F) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
-    {
-        self.executor.run(items, work)
-    }
-
     /// Takes a consistent, immutable snapshot of every object in the
     /// store, detached from the store's borrow: O(shards) `Arc` clones,
     /// no model copies.

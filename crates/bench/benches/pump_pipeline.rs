@@ -2,16 +2,17 @@
 //! scene burst when controller cycles and driver reconciles both take
 //! nonzero simulated time.
 //!
-//! "Serial" is the pre-pipelining shape emulated by the runtime's
-//! `pipelined_controllers: false` baseline: any controller cycle in
-//! flight stalls wake delivery space-wide, so driver reconciles and the
-//! other controllers queue behind it. "Pipelined" is the shipped
-//! default: each slot's busy/dirty lifecycle is independent, so the
-//! mounter's replica refresh, the syncer, the policer and every
-//! namespace's driver overlap in simulated time. The sweep measures the
-//! virtual settle time of the same intent-burst workload under both
-//! modes and asserts the pipelined margin. Emits
-//! `BENCH_pump_pipeline.json` at the repo root.
+//! "Serial" is the pre-pipelining shape: any controller cycle in flight
+//! stalls wake delivery space-wide, so driver reconciles and the other
+//! controllers queue behind it. The runtime no longer carries that mode;
+//! its virtual settle time on this exact workload is deterministic, so it
+//! is kept as a recorded reference number ([`SERIAL_SETTLE_MS`]).
+//! "Pipelined" is the runtime: each slot's busy/dirty lifecycle is
+//! independent, so the mounter's replica refresh, the syncer, the policer
+//! and every namespace's driver overlap in simulated time. The sweep
+//! measures the pipelined virtual settle time, asserts it replays the
+//! recorded value bit for bit, and asserts the margin over the serial
+//! reference. Emits `BENCH_pump_pipeline.json` at the repo root.
 
 use dspace_apiserver::ApiServer;
 use dspace_core::driver::{Driver, Filter};
@@ -19,6 +20,15 @@ use dspace_core::graph::MountMode;
 use dspace_core::{Space, SpaceConfig};
 use dspace_simnet::LatencyModel;
 use dspace_value::{AttrType, KindSchema};
+
+/// Virtual settle time of the serial-controller baseline on this workload,
+/// `[smoke, full]`, recorded when the runtime still carried that mode.
+const SERIAL_SETTLE_MS: [f64; 2] = [297.0, 1188.0];
+
+/// Pipelined settle time recorded alongside [`SERIAL_SETTLE_MS`],
+/// `[smoke, full]`. Virtual time is deterministic, so the runtime must
+/// reproduce it exactly.
+const PIPELINED_SETTLE_MS: [f64; 2] = [162.0, 648.0];
 
 fn lamp_schema() -> KindSchema {
     KindSchema::digivice("digi.dev", "v1", "Lamp")
@@ -31,7 +41,7 @@ fn lamp_schema() -> KindSchema {
 /// the ack commit wakes the mounter again for the replica refresh, and
 /// that refresh wakes the space-wide controllers once more. Pipelined,
 /// those cycles overlap across slots and namespaces; serial, every one
-/// of them queues behind whichever controller cycle is in flight.
+/// of them queued behind whichever controller cycle was in flight.
 fn ack_driver() -> Driver {
     let mut d = Driver::new();
     d.on(Filter::on_control(), 0, "ack", |ctx| {
@@ -48,14 +58,13 @@ fn ack_driver() -> Driver {
 
 /// One mounted lamp pair per namespace shard: the burst is cross-shard,
 /// every ack wakes the mounter (replica refresh into its hub), and with
-/// nonzero controller latency the serial baseline stalls every wake
+/// nonzero controller latency the serial baseline stalled every wake
 /// delivery behind each controller cycle.
-fn build(pipelined: bool, namespaces: usize) -> Space {
+fn build(namespaces: usize) -> Space {
     let mut space = Space::new(SpaceConfig {
         reconcile: LatencyModel::FixedMs(10.0),
         controller_reconcile: LatencyModel::FixedMs(40.0),
         admission: LatencyModel::FixedMs(1.0),
-        pipelined_controllers: pipelined,
         ..SpaceConfig::default()
     });
     space.register_kind(lamp_schema());
@@ -78,10 +87,10 @@ fn build(pipelined: bool, namespaces: usize) -> Space {
 /// returns `(virtual_settle_ms, wall_ms)`. Each burst patches every
 /// kid's intent, so the space fans out one driver ack per namespace
 /// plus mounter/syncer/policer cycles for the commits — the serial
-/// baseline pays for each of those cycles back-to-back, the pipelined
+/// baseline paid for each of those cycles back-to-back, the pipelined
 /// runtime overlaps them.
-fn run(pipelined: bool, namespaces: usize, rounds: usize) -> (f64, f64) {
-    let mut space = build(pipelined, namespaces);
+fn run(namespaces: usize, rounds: usize) -> (f64, f64) {
+    let mut space = build(namespaces);
     let t0 = space.now_ms();
     let wall = std::time::Instant::now();
     let mut want = 0.0;
@@ -115,7 +124,7 @@ fn run(pipelined: bool, namespaces: usize, rounds: usize) -> (f64, f64) {
                 .unwrap()
                 .as_f64(),
             Some(want),
-            "replica must converge in ns{ns} (pipelined={pipelined})"
+            "replica must converge in ns{ns}"
         );
     }
     assert!(!space.world.has_pending_work(), "burst must quiesce");
@@ -126,49 +135,57 @@ fn pipeline_sweep(smoke: bool) {
     let namespaces: usize = if smoke { 2 } else { 6 };
     let rounds: usize = if smoke { 1 } else { 4 };
     let trials: usize = if smoke { 1 } else { 3 };
+    let mode = usize::from(!smoke);
     println!();
     println!(
         "pump pipeline sweep: {namespaces} ns x 1 mounted pair, {rounds} cross-shard \
-         bursts, driver 10 ms / controller 40 ms / admission 1 ms, \
-         {trials} paired trials"
+         bursts, driver 10 ms / controller 40 ms / admission 1 ms, {trials} trials"
     );
-    // Each trial runs the serial/pipelined pair back-to-back (interleaved,
-    // as in the pump-throughput sweep) so wall-clock drift cancels out of
-    // the per-trial quotient. The *asserted* margin, though, is on virtual
-    // settle time, which is produced by the deterministic event schedule:
-    // it must come out bit-identical on every trial and on any host.
-    let mut virt = [f64::NAN; 2]; // [serial, pipelined]
-    let mut best_wall = [f64::INFINITY; 2];
+    // The asserted margin is on virtual settle time, which is produced by
+    // the deterministic event schedule: it must come out bit-identical on
+    // every trial, on any host, and equal to the recorded value.
+    let mut virt = f64::NAN;
+    let mut best_wall = f64::INFINITY;
     for trial in 0..trials {
-        for (ci, &pipelined) in [false, true].iter().enumerate() {
-            let (v, w) = run(pipelined, namespaces, rounds);
-            if trial == 0 {
-                virt[ci] = v;
-            } else {
-                assert_eq!(
-                    v.to_bits(),
-                    virt[ci].to_bits(),
-                    "virtual settle time must replay bit-identically across trials"
-                );
-            }
-            best_wall[ci] = best_wall[ci].min(w);
+        let (v, w) = run(namespaces, rounds);
+        if trial == 0 {
+            virt = v;
+        } else {
+            assert_eq!(
+                v.to_bits(),
+                virt.to_bits(),
+                "virtual settle time must replay bit-identically across trials"
+            );
         }
+        best_wall = best_wall.min(w);
     }
-    let speedup = virt[0] / virt[1];
+    assert_eq!(
+        virt.to_bits(),
+        PIPELINED_SETTLE_MS[mode].to_bits(),
+        "pipelined settle time {virt} ms drifted from the recorded {} ms",
+        PIPELINED_SETTLE_MS[mode]
+    );
+    let serial = SERIAL_SETTLE_MS[mode];
+    let speedup = serial / virt;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "{:>10} {:>14} {:>12} {:>12}",
         "mode", "settle-ms", "ms/burst", "wall-ms"
     );
-    for (ci, mode) in ["serial", "pipelined"].iter().enumerate() {
-        println!(
-            "{:>10} {:>14.1} {:>12.1} {:>12.2}",
-            mode,
-            virt[ci],
-            virt[ci] / rounds as f64,
-            best_wall[ci],
-        );
-    }
+    println!(
+        "{:>10} {:>14.1} {:>12.1} {:>12}",
+        "serial",
+        serial,
+        serial / rounds as f64,
+        "recorded"
+    );
+    println!(
+        "{:>10} {:>14.1} {:>12.1} {:>12.2}",
+        "pipelined",
+        virt,
+        virt / rounds as f64,
+        best_wall
+    );
     println!("pipelined vs serial settle time: {speedup:.2}x ({cores} cores)");
     if !smoke {
         // Virtual time is core-count-independent (the same event schedule
@@ -182,8 +199,7 @@ fn pipeline_sweep(smoke: bool) {
         );
     }
     let json = format!(
-        "{{\n  \"bench\": \"pump_pipeline\",\n  \"namespaces\": {namespaces},\n  \"rounds\": {rounds},\n  \"trials\": {trials},\n  \"smoke\": {smoke},\n  \"cores\": {cores},\n  \"driver_reconcile_ms\": 10.0,\n  \"controller_reconcile_ms\": 40.0,\n  \"admission_ms\": 1.0,\n  \"serial_settle_ms\": {:.3},\n  \"pipelined_settle_ms\": {:.3},\n  \"serial_wall_ms\": {:.3},\n  \"pipelined_wall_ms\": {:.3},\n  \"speedup_pipelined_vs_serial\": {speedup:.3}\n}}\n",
-        virt[0], virt[1], best_wall[0], best_wall[1],
+        "{{\n  \"bench\": \"pump_pipeline\",\n  \"namespaces\": {namespaces},\n  \"rounds\": {rounds},\n  \"trials\": {trials},\n  \"smoke\": {smoke},\n  \"cores\": {cores},\n  \"driver_reconcile_ms\": 10.0,\n  \"controller_reconcile_ms\": 40.0,\n  \"admission_ms\": 1.0,\n  \"serial_settle_ms\": {serial:.3},\n  \"serial_settle_source\": \"recorded\",\n  \"pipelined_settle_ms\": {virt:.3},\n  \"pipelined_wall_ms\": {best_wall:.3},\n  \"speedup_pipelined_vs_serial\": {speedup:.3}\n}}\n",
     );
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -30,106 +30,12 @@
 
 use std::collections::BTreeMap;
 
-use dspace_apiserver::{stamp_gen, ApiError, ApiServer, BatchOp, ObjectRef, SnapshotView, Verb};
+use dspace_apiserver::{stamp_gen, ApiError, ApiServer, BatchOp, ObjectRef, Verb};
 use dspace_value::{Path, Shared, Value};
 
 /// The result of one queued write: the committed resource version on
 /// success, mirroring the serial verbs.
 pub type WriteResult = Result<u64, ApiError>;
-
-/// The read/write surface a [`WriteBatch`] accumulates against: the live
-/// [`ApiServer`] for inline controller cycles, or a detached
-/// [`SnapshotView`] for plan jobs running off the coordinator thread.
-/// Semantics — RBAC checks, error shapes, read-your-writes — are
-/// identical across backends, which is what keeps parallel planning
-/// bit-identical to the serial planner.
-pub trait BatchBackend {
-    /// RBAC-checked read of `(model, resource_version)`, mirroring
-    /// [`ApiServer::get`] exactly (same `Forbidden` reason text, same
-    /// `NotFound`).
-    fn read(&self, subject: &str, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError>;
-
-    /// Whether `subject` may `Get` the object — the overlay hit's RBAC
-    /// gate, which must agree with [`read`](Self::read)'s check.
-    fn authorized_get(&self, subject: &str, oref: &ObjectRef) -> bool;
-
-    /// Unauthenticated raw read backing
-    /// [`WriteBatch::read_for_write`]'s first-read snapshot.
-    fn read_admin(&self, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError>;
-
-    /// Immediate deep-merge patch — the legacy per-op (non-batched)
-    /// path. Plan jobs never take it: deferred cycles force batching.
-    fn patch_now(&mut self, subject: &str, oref: &ObjectRef, patch: Value) -> WriteResult;
-
-    /// Immediate path set — the legacy per-op (non-batched) path.
-    fn patch_path_now(
-        &mut self,
-        subject: &str,
-        oref: &ObjectRef,
-        path: &str,
-        value: Value,
-    ) -> WriteResult;
-}
-
-impl BatchBackend for ApiServer {
-    fn read(&self, subject: &str, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError> {
-        let obj = self.get(subject, oref)?;
-        Ok((obj.model, obj.resource_version))
-    }
-
-    fn authorized_get(&self, subject: &str, oref: &ObjectRef) -> bool {
-        self.rbac().authorize(subject, Verb::Get, oref)
-    }
-
-    fn read_admin(&self, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError> {
-        let obj = self.get(ApiServer::ADMIN, oref)?;
-        Ok((obj.model, obj.resource_version))
-    }
-
-    fn patch_now(&mut self, subject: &str, oref: &ObjectRef, patch: Value) -> WriteResult {
-        self.patch(subject, oref, patch)
-    }
-
-    fn patch_path_now(
-        &mut self,
-        subject: &str,
-        oref: &ObjectRef,
-        path: &str,
-        value: Value,
-    ) -> WriteResult {
-        self.patch_path(subject, oref, path, value)
-    }
-}
-
-impl BatchBackend for SnapshotView {
-    fn read(&self, subject: &str, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError> {
-        let obj = self.get(subject, oref)?;
-        Ok((obj.model, obj.resource_version))
-    }
-
-    fn authorized_get(&self, subject: &str, oref: &ObjectRef) -> bool {
-        self.authorized(subject, Verb::Get, oref)
-    }
-
-    fn read_admin(&self, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError> {
-        let obj = self.get(ApiServer::ADMIN, oref)?;
-        Ok((obj.model, obj.resource_version))
-    }
-
-    fn patch_now(&mut self, _subject: &str, _oref: &ObjectRef, _patch: Value) -> WriteResult {
-        unreachable!("snapshot-backed batches always run in batched mode")
-    }
-
-    fn patch_path_now(
-        &mut self,
-        _subject: &str,
-        _oref: &ObjectRef,
-        _path: &str,
-        _value: Value,
-    ) -> WriteResult {
-        unreachable!("snapshot-backed batches always run in batched mode")
-    }
-}
 
 /// How a ticket resolves at commit time.
 enum Pending {
@@ -201,14 +107,10 @@ impl WriteBatch {
     /// Reads an object's `(model, resource_version)` as the controller
     /// must see it mid-cycle: through the overlay when batched, straight
     /// from the server otherwise. RBAC is enforced either way.
-    pub fn get<B: BatchBackend>(
-        &self,
-        api: &B,
-        oref: &ObjectRef,
-    ) -> Result<(Shared<Value>, u64), ApiError> {
+    pub fn get(&self, api: &ApiServer, oref: &ObjectRef) -> Result<(Shared<Value>, u64), ApiError> {
         if self.batched {
             if let Some((model, rv)) = self.overlay.get(oref) {
-                if !api.authorized_get(&self.subject, oref) {
+                if !api.rbac().authorize(&self.subject, Verb::Get, oref) {
                     return Err(ApiError::Forbidden {
                         subject: self.subject.clone(),
                         reason: format!("{:?} on {oref} not permitted", Verb::Get),
@@ -217,14 +119,15 @@ impl WriteBatch {
                 return Ok((Shared::clone(model), *rv));
             }
         }
-        api.read(&self.subject, oref)
+        let obj = api.get(&self.subject, oref)?;
+        Ok((obj.model, obj.resource_version))
     }
 
     /// Reads one attribute (see [`get`](Self::get)); missing paths read
     /// as `Null`, like the serial `get_path` verb.
-    pub fn get_path<B: BatchBackend>(
+    pub fn get_path(
         &self,
-        api: &B,
+        api: &ApiServer,
         oref: &ObjectRef,
         path: &str,
     ) -> Result<Value, ApiError> {
@@ -234,9 +137,9 @@ impl WriteBatch {
 
     /// Deep-merges a patch into an object's model. Returns the ticket to
     /// look up in [`commit`](Self::commit)'s results.
-    pub fn patch<B: BatchBackend>(&mut self, api: &mut B, oref: &ObjectRef, patch: Value) -> usize {
+    pub fn patch(&mut self, api: &mut ApiServer, oref: &ObjectRef, patch: Value) -> usize {
         if !self.batched {
-            let result = api.patch_now(&self.subject, oref, patch);
+            let result = api.patch(&self.subject, oref, patch);
             return self.push(Pending::Done(result));
         }
         match self.read_for_write(api, oref) {
@@ -256,15 +159,15 @@ impl WriteBatch {
 
     /// Sets one attribute path. Returns the ticket to look up in
     /// [`commit`](Self::commit)'s results.
-    pub fn patch_path<B: BatchBackend>(
+    pub fn patch_path(
         &mut self,
-        api: &mut B,
+        api: &mut ApiServer,
         oref: &ObjectRef,
         path: &str,
         value: Value,
     ) -> usize {
         if !self.batched {
-            let result = api.patch_path_now(&self.subject, oref, path, value);
+            let result = api.patch_path(&self.subject, oref, path, value);
             return self.push(Pending::Done(result));
         }
         let parsed: Path = match path.parse() {
@@ -384,9 +287,9 @@ impl WriteBatch {
     /// written this cycle, otherwise the committed object. Mirrors the
     /// `current` input of the server's own batch-overlay preparation —
     /// NotFound here is NotFound at commit.
-    fn read_for_write<B: BatchBackend>(
+    fn read_for_write(
         &mut self,
-        api: &B,
+        api: &ApiServer,
         oref: &ObjectRef,
     ) -> Result<(Shared<Value>, u64), ApiError> {
         if let Some((model, rv)) = self.overlay.get(oref) {
@@ -394,13 +297,13 @@ impl WriteBatch {
         }
         // Unauthenticated raw read: RBAC for the write itself is checked
         // by apply_batch at commit, exactly like the serial verb would.
-        let (model, rv) = api
-            .read_admin(oref)
+        let obj = api
+            .get(ApiServer::ADMIN, oref)
             .map_err(|_| ApiError::NotFound(oref.clone()))?;
         // First store read for this object: the OCC base of every write
         // the batch queues against it.
-        self.base.insert(oref.clone(), rv);
-        Ok((model, rv))
+        self.base.insert(oref.clone(), obj.resource_version);
+        Ok((obj.model, obj.resource_version))
     }
 
     fn push(&mut self, p: Pending) -> usize {

@@ -26,8 +26,8 @@ use dspace_apiserver::{ApiServer, ObjectRef, WatchEvent};
 use dspace_simnet::Time;
 use dspace_value::{Path, Segment, Value};
 
-use crate::batch::{BatchBackend, WriteBatch};
-use crate::graph::{DigiGraph, EdgeState, GraphRead, MountEdge, MountMode};
+use crate::batch::WriteBatch;
+use crate::graph::{DigiGraph, EdgeState, MountEdge, MountMode};
 use crate::model::{MOUNT_ACTIVE, MOUNT_YIELDED};
 use crate::trace::{Trace, TraceKind};
 
@@ -42,8 +42,8 @@ struct TraceEffect {
 }
 
 /// A planned mounter cycle: queued writes plus success-gated trace
-/// effects. Planning runs against the wake-time snapshot; the plan can
-/// land immediately (legacy inline path) or later, after simulated
+/// effects. Planning runs against the live store at wake; the plan can
+/// land immediately (inline path) or later, after simulated
 /// reconcile/link/admission delays (async controller runtime).
 pub(crate) struct MounterPlan {
     pub(crate) batch: WriteBatch,
@@ -77,9 +77,7 @@ impl MounterPlan {
 /// The Mounter controller.
 ///
 /// Holds no handle to the runtime's digi-graph: every pass is handed the
-/// graph to read (the live one inline, an `Arc` edge snapshot from a plan
-/// job), which keeps the whole struct `Send` so deferred plan passes can
-/// run on shard worker threads.
+/// live graph cell to read.
 pub struct Mounter {
     /// Replica content as last written by the mounter, per (parent, child).
     shadows: BTreeMap<(ObjectRef, ObjectRef), Value>,
@@ -121,10 +119,6 @@ impl Mounter {
         trace: &mut Trace,
         now: Time,
     ) {
-        // The graph is handed down as the `RefCell` (borrow-per-read):
-        // in per-op write mode planning commits each write immediately,
-        // and the admission chain's topology webhook re-borrows the same
-        // cell mutably mid-plan.
         let plan = self.plan(api, graph, events, false);
         plan.land(api, trace, now);
     }
@@ -135,10 +129,10 @@ impl Mounter {
     /// effects) on the returned plan. `force_batched` overrides the
     /// per-op compatibility mode for deferred landings, which must commit
     /// as one `apply_batch` transfer.
-    pub(crate) fn plan<B: BatchBackend, G: GraphRead>(
+    pub(crate) fn plan(
         &mut self,
-        api: &mut B,
-        graph: &G,
+        api: &mut ApiServer,
+        graph: &std::cell::RefCell<DigiGraph>,
         events: &[WatchEvent],
         force_batched: bool,
     ) -> MounterPlan {
@@ -156,8 +150,11 @@ impl Mounter {
         for oref in affected {
             // One O(degree) pass per changed digi: the graph's endpoint
             // index hands back full edges (payload included), so there is
-            // no per-neighbor `edge()` re-lookup.
-            for edge in graph.adjacent_edges(&oref) {
+            // no per-neighbor `edge()` re-lookup. The borrow ends before
+            // any write: in per-op write mode each write commits at once,
+            // and the topology webhook re-borrows the cell mutably.
+            let edges = graph.borrow().adjacent_edges(&oref);
+            for edge in edges {
                 self.sync_edge(api, &mut batch, edge, &mut effects);
             }
         }
@@ -166,9 +163,9 @@ impl Mounter {
 
     /// Synchronizes one mount edge in both directions, queueing writes on
     /// `batch` and success-gated trace entries on `effects`.
-    fn sync_edge<B: BatchBackend>(
+    fn sync_edge(
         &mut self,
-        api: &mut B,
+        api: &mut ApiServer,
         batch: &mut WriteBatch,
         edge: MountEdge,
         effects: &mut Vec<TraceEffect>,

@@ -51,8 +51,7 @@ impl PolicerPlan {
 /// The Policer controller.
 ///
 /// Holds no handle to the runtime's digi-graph: graph-reading verbs are
-/// handed the live graph cell at landing time, which keeps the struct
-/// `Send` so it can ride a plan-phase job like the other controllers.
+/// handed the live graph cell at landing time.
 pub struct Policer {
     policies: BTreeMap<ObjectRef, Policy>,
     /// Last condition value per policy (for edge triggering).

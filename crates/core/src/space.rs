@@ -36,19 +36,6 @@ pub struct SpaceConfig {
     /// a separate stage from the write link, so the two delays are
     /// independently attributable.
     pub admission: LatencyModel,
-    /// Run controllers through the async busy/dirty lifecycle (the
-    /// default). Off restores the legacy inline processing; with the
-    /// zero-latency defaults the two are bit-identical.
-    pub async_controllers: bool,
-    /// Pipelined wake delivery (the default). Off is the serial baseline:
-    /// every in-flight controller cycle stalls wake delivery space-wide.
-    pub pipelined_controllers: bool,
-    /// Fan deferred plan phases (mounter/syncer planning, driver reconcile
-    /// compute) out across the shard executor's worker lanes (the
-    /// default). Off plans serially on the coordinator. Both modes leave
-    /// bit-identical store dumps and traces at any thread count — this is
-    /// purely a wall-clock knob.
-    pub parallel_plan: bool,
     /// When set, deferred controller writes travel this link (with its
     /// full fault surface) instead of the controllers' wake link.
     pub controller_write: Option<dspace_simnet::Link>,
@@ -78,9 +65,6 @@ impl Default for SpaceConfig {
             reconcile: LatencyModel::FixedMs(0.0),
             controller_reconcile: LatencyModel::FixedMs(0.0),
             admission: LatencyModel::FixedMs(0.0),
-            async_controllers: true,
-            pipelined_controllers: true,
-            parallel_plan: true,
             controller_write: None,
             retry: RetryPolicy::default(),
             threads: 0,
@@ -166,9 +150,6 @@ impl Space {
         world.set_reconcile_latency(config.reconcile);
         world.set_controller_reconcile_latency(config.controller_reconcile);
         world.set_admission_latency(config.admission);
-        world.set_async_controllers(config.async_controllers);
-        world.set_pipelined_controllers(config.pipelined_controllers);
-        world.set_parallel_plan(config.parallel_plan);
         if let Some(link) = config.controller_write {
             for name in ["mounter", "syncer", "policer"] {
                 world.set_controller_write_link(name, link.clone());

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use dspace_apiserver::{ApiServer, ObjectRef, WatchEvent, WatchEventKind};
 use dspace_value::Value;
 
-use crate::batch::{BatchBackend, WriteBatch};
+use crate::batch::WriteBatch;
 
 /// The apiserver subject the syncer authenticates as.
 pub const SUBJECT: &str = "controller:syncer";
@@ -95,8 +95,8 @@ struct LastEffect {
 
 /// A planned syncer cycle: queued propagation writes plus the
 /// commit-gated `last`-cache inserts that ride on them. Planning runs
-/// against the wake-time snapshot; the plan lands immediately (legacy
-/// inline path) or later under the async controller runtime.
+/// against the live store at wake; the plan lands immediately (inline
+/// path) or later under the async controller runtime.
 pub(crate) struct SyncerPlan {
     pub(crate) batch: WriteBatch,
     effects: Vec<LastEffect>,
@@ -151,15 +151,9 @@ impl Syncer {
     /// committing: Sync registrations are applied eagerly (spec/cache
     /// bookkeeping), propagation writes are queued. `force_batched`
     /// overrides per-op compatibility mode for deferred landings.
-    ///
-    /// Generic over [`BatchBackend`] so the same planning code runs
-    /// against the live apiserver (inline path) or a wake-time
-    /// [`dspace_apiserver::SnapshotView`] on a shard worker lane
-    /// (parallel plan phase) — planning only reads, so both backends
-    /// observe identical state.
-    pub(crate) fn plan<B: BatchBackend>(
+    pub(crate) fn plan(
         &mut self,
-        api: &mut B,
+        api: &mut ApiServer,
         events: &[WatchEvent],
         force_batched: bool,
     ) -> SyncerPlan {
@@ -233,9 +227,9 @@ impl Syncer {
         }
     }
 
-    fn propagate_for_sync<B: BatchBackend>(
+    fn propagate_for_sync(
         &mut self,
-        api: &mut B,
+        api: &mut ApiServer,
         batch: &mut WriteBatch,
         effects: &mut Vec<LastEffect>,
         id: &ObjectRef,

@@ -17,8 +17,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use dspace_apiserver::{
-    ApiServer, CoalescedEvent, DurabilityOptions, Object, ObjectRef, Query, Role, Rule,
-    SnapshotView, Verb, WalError, WatchId,
+    ApiServer, CoalescedEvent, DurabilityOptions, Object, ObjectRef, Query, Role, Rule, Verb,
+    WalError, WatchId,
 };
 use dspace_simnet::{Delivery, LatencyModel, Link, Metrics, RetryPolicy, Rng, Sim, Stopwatch};
 use dspace_value::{KindSchema, Shared, Value};
@@ -80,8 +80,8 @@ enum Component {
     User(UserCli),
 }
 
-/// A controller cycle's planned work, decided against wake-time snapshots
-/// and carried through the deferred busy → link → admission → landing
+/// A controller cycle's planned work, decided against the live store at
+/// wake and carried through the deferred busy → link → admission → landing
 /// pipeline.
 enum ControllerPlan {
     Mounter(crate::mounter::MounterPlan),
@@ -109,27 +109,9 @@ impl ControllerPlan {
     }
 }
 
-/// A queued plan job: a pure function of its captured wake-time inputs
-/// (a [`PlanCtx`] plus the slot's drained events), executed on a shard
-/// worker lane by `World::flush_plans`. Purity is what makes flush timing
-/// irrelevant to results — a job computes the same outcome whether it runs
-/// at wake, at flush, or at its landing continuation.
-type PlanJobFn = Box<dyn FnOnce() -> PlanOutcome + Send>;
-
-/// What a plan job produces: the component it checked out of its slot
-/// (moved through the job so bookkeeping mutations — syncer caches, driver
-/// `last_model` — travel with the plan) plus the planned work, which lands
-/// coordinator-side in deterministic ticket order.
-enum PlanOutcome {
-    Mounter(Mounter, crate::mounter::MounterPlan),
-    Syncer(Syncer, crate::syncer::SyncerPlan),
-    Driver(DriverRuntime, DriverCycle),
-}
-
-/// One reconcile step a driver plan job computed for a single watch event.
-/// Traces, error counts, and device effects replay coordinator-side at
-/// landing, in step order — so actuator RNG draws stay on the shared
-/// stream in the same order the serial planner produced them.
+/// One reconcile step a driver cycle computed for a single watch event.
+/// Traces, error counts, and device effects replay after the whole cycle
+/// is computed, in step order, so the plan/land split stays measurable.
 struct DriverStep {
     /// First 8 changed paths, `;`-joined (the `DriverReconciled` detail).
     changed: String,
@@ -137,39 +119,17 @@ struct DriverStep {
     effects: Vec<Effect>,
 }
 
-/// A driver cycle computed off-thread: per-event steps plus the model
-/// commits queued for transmission over the driver link.
+/// A computed driver cycle: per-event steps plus the model commits queued
+/// for transmission over the driver link.
 struct DriverCycle {
     foreign_events: u64,
     steps: Vec<DriverStep>,
     commits: VecDeque<PendingCommit>,
 }
 
-/// Immutable inputs a plan job computes against, captured once per wake on
-/// the coordinator. Everything a plan may consult is frozen here, so the
-/// job is a pure function and lane assignment / execution order cannot
-/// leak into results.
-pub struct PlanCtx {
-    /// Batch-boundary-exact store snapshot plus an RBAC view — the same
-    /// reads `ApiServer::get` would answer at wake time.
-    pub view: SnapshotView,
-    /// Edge snapshot of the digi-graph at wake time. The live graph is
-    /// coordinator-only (`Rc<RefCell<..>>`); plan jobs get an `Arc` clone.
-    pub graph: std::sync::Arc<DigiGraph>,
-    /// Per-slot RNG stream, forked (non-consuming) off the world RNG at
-    /// wake. Any randomness a plan job needs must come from here — never
-    /// the shared stream — so draws are independent of which lane runs the
-    /// job. Simnet fault draws (links, actuators) stay coordinator-side.
-    pub rng: Rng,
-    /// The sim instant the outcome lands (wake time + reconcile duration).
-    pub land_at: dspace_simnet::Time,
-}
-
 /// The pure compute of one driver reconcile cycle: a function of the
 /// runtime's cached model, the drained events, and the landing-time clock —
-/// no store, graph, shared-RNG, or trace access, so it runs unchanged on a
-/// shard worker lane (parallel plan phase) or inline on the coordinator
-/// (serial path), with bit-identical results.
+/// no store, graph, shared-RNG, or trace access.
 fn run_driver_cycle(rt: &mut DriverRuntime, events: &[CoalescedEvent], now_s: f64) -> DriverCycle {
     let mut cycle = DriverCycle {
         foreign_events: 0,
@@ -247,8 +207,8 @@ struct ComponentSlot {
     link: Link,
     woken: bool,
     /// A reconcile cycle is in flight (its completion event is scheduled).
-    /// Driver slots and — under the async controller runtime — controller
-    /// slots go busy; the user CLI stays synchronous.
+    /// Driver slots and deferred controller cycles go busy; the user CLI
+    /// stays synchronous.
     busy: bool,
     /// A wake arrived while busy. Completion re-polls, so however many
     /// events queued up mid-reconcile, they land as exactly one follow-up
@@ -259,7 +219,7 @@ struct ComponentSlot {
     /// object becomes a single reconciliation against the newest snapshot.
     coalesce: bool,
     /// Link the slot's deferred writes travel (defaults to `link` when
-    /// unset). Only consulted by async controller cycles.
+    /// unset). Only consulted by deferred controller cycles.
     write_link: Option<Link>,
     /// Per-slot counter keys, interned at registration so the hot drop/
     /// retry paths never re-allocate the `"metric:{name}"` strings.
@@ -314,29 +274,6 @@ pub struct World {
     /// modeled separately from the link so the two delays are
     /// independently attributable.
     admission: LatencyModel,
-    /// Run controllers through the async busy/dirty lifecycle. With the
-    /// default zero latency models and no write links the async path is
-    /// bit-identical to the legacy inline path, so this stays on.
-    async_controllers: bool,
-    /// When `false`, a busy controller stalls wake *delivery* for every
-    /// slot until its cycle ends — the serial baseline the pipelined
-    /// runtime is benchmarked against.
-    pipelined_controllers: bool,
-    /// Wake deliveries may not land before this instant while running
-    /// serial controllers (see `pipelined_controllers`).
-    stall_until: dspace_simnet::Time,
-    /// Fan the deferred plan phase out across the shard executor's worker
-    /// lanes: wakes queue per-slot plan jobs (pure functions of wake-time
-    /// snapshots) instead of planning inline, and a flush runs the batch
-    /// on the pool. Off = plan serially coordinator-side. Both modes leave
-    /// bit-identical store dumps and traces at any thread count.
-    parallel_plan: bool,
-    /// Plan jobs queued since the last flush, tagged by slot index.
-    plan_queue: Vec<(usize, PlanJobFn)>,
-    /// Completed plan outcomes awaiting their landing continuation, keyed
-    /// by slot (the busy invariant guarantees one in-flight cycle per
-    /// slot, so a plain map cannot collide).
-    plan_results: BTreeMap<usize, PlanOutcome>,
     /// Backoff schedule for driver→apiserver commits over a faulty link.
     retry: RetryPolicy,
     actuators: BTreeMap<ObjectRef, Option<Box<dyn Actuator>>>,
@@ -416,12 +353,6 @@ impl World {
             reconcile_latency: LatencyModel::FixedMs(0.0),
             controller_reconcile: LatencyModel::FixedMs(0.0),
             admission: LatencyModel::FixedMs(0.0),
-            async_controllers: true,
-            pipelined_controllers: true,
-            stall_until: 0,
-            parallel_plan: true,
-            plan_queue: Vec::new(),
-            plan_results: BTreeMap::new(),
             retry: RetryPolicy::default(),
             actuators: BTreeMap::new(),
             digi_kinds: BTreeSet::new(),
@@ -554,68 +485,6 @@ impl World {
     /// batches.
     pub fn set_admission_latency(&mut self, latency: LatencyModel) {
         self.admission = latency;
-    }
-
-    /// Toggles the async controller lifecycle (busy/dirty/deferred
-    /// landing). Off = legacy: controllers process inline on wake.
-    pub fn set_async_controllers(&mut self, on: bool) {
-        self.async_controllers = on;
-    }
-
-    /// Toggles pipelining. Off = serial baseline: each controller cycle
-    /// stalls wake delivery for every component until it completes.
-    pub fn set_pipelined_controllers(&mut self, on: bool) {
-        self.pipelined_controllers = on;
-    }
-
-    /// Toggles the parallel plan phase (on by default). Off = deferred
-    /// cycles plan inline on the coordinator, the serial baseline the
-    /// pooled planner is benchmarked — and bit-identity-tested — against.
-    pub fn set_parallel_plan(&mut self, on: bool) {
-        self.parallel_plan = on;
-    }
-
-    /// Captures the immutable planning inputs for slot `i`'s cycle: store
-    /// snapshot + RBAC view, graph edge snapshot, a per-slot RNG stream,
-    /// and the landing instant. Built once per wake, coordinator-side.
-    fn plan_ctx(&self, i: usize, land_at: dspace_simnet::Time) -> PlanCtx {
-        PlanCtx {
-            view: self.api.snapshot_view(),
-            graph: self.graph.borrow().frozen(),
-            rng: self.rng.stream(i as u64),
-            land_at,
-        }
-    }
-
-    /// Runs every queued plan job on the shard executor's worker lanes and
-    /// parks the outcomes for their landing continuations. Job purity
-    /// makes the flush instant unobservable in results; it only decides
-    /// how much planning overlaps (`plan_parallelism`).
-    fn flush_plans(&mut self) {
-        if self.plan_queue.is_empty() {
-            return;
-        }
-        let jobs = std::mem::take(&mut self.plan_queue);
-        self.metrics.record("plan_parallelism", jobs.len() as f64);
-        let sw = Stopwatch::start();
-        let (slots, work): (Vec<usize>, Vec<PlanJobFn>) = jobs.into_iter().unzip();
-        let outcomes = self.api.run_pooled(work, |job| job());
-        for (slot, outcome) in slots.into_iter().zip(outcomes) {
-            self.plan_results.insert(slot, outcome);
-        }
-        self.metrics.record_elapsed("plan_ns", sw);
-    }
-
-    /// Claims slot `i`'s plan outcome at its landing continuation,
-    /// flushing the queue first if the job hasn't run yet (the d == 0
-    /// inline continuation, or a landing that beat the eager flush).
-    fn take_plan(&mut self, i: usize) -> PlanOutcome {
-        if !self.plan_results.contains_key(&i) {
-            self.flush_plans();
-        }
-        self.plan_results
-            .remove(&i)
-            .expect("a plan job was queued for this slot's in-flight cycle")
     }
 
     /// Overrides the link a controller slot's deferred writes travel
@@ -854,25 +723,9 @@ impl World {
                 }
             }
         }
-        // Eager flush: once no same-instant sim event remains that could
-        // add another job to the batch, run everything queued on the pool
-        // now — the batch is as wide as this instant will ever make it,
-        // and planning overlaps the coordinator's remaining bookkeeping
-        // instead of stalling the first landing continuation.
-        if !self.plan_queue.is_empty() && sim.next_at().is_none_or(|t| t > sim.now()) {
-            self.flush_plans();
-        }
     }
 
     fn wake(&mut self, i: usize, sim: &mut Sim<World>) {
-        if !self.pipelined_controllers && sim.now() < self.stall_until {
-            // Serial-controller baseline: no slot makes progress while a
-            // controller cycle is in flight. Re-queue the delivery behind
-            // the stall horizon (which may have moved again by then).
-            let wait = self.stall_until - sim.now();
-            sim.schedule(wait, move |w: &mut World, sim| w.wake(i, sim));
-            return;
-        }
         if self.slots[i].busy {
             // Mid-reconcile: note the wake and let completion re-poll.
             // `woken` stays set so `pump` doesn't schedule more wakes for
@@ -940,11 +793,10 @@ impl World {
 
     /// Starts one controller cycle over a drained event batch.
     ///
-    /// With async controllers off — or on with all-zero latency models and
-    /// no write link — the cycle runs inline, bit-identical to the legacy
-    /// synchronous path (a `FixedMs` sample consumes no RNG draws). The
-    /// deferred path splits the cycle into plan (wake time, against the
-    /// drained snapshots) → busy latency → link transfer (with retries) →
+    /// With all-zero latency models and no write link the cycle runs
+    /// inline (a `FixedMs` sample consumes no RNG draws). The deferred
+    /// path splits the cycle into plan (wake time, against the live store
+    /// and graph) → busy latency → link transfer (with retries) →
     /// admission → landing, with the slot busy throughout so concurrent
     /// wakes coalesce into one follow-up via the dirty bit.
     fn controller_cycle(
@@ -971,10 +823,6 @@ impl World {
         if n > 0 {
             self.metrics.count(metric, n);
         }
-        if !self.async_controllers {
-            self.controller_inline(i, &events, sim);
-            return;
-        }
         // Hard invariant: one cycle in flight per slot. The busy check in
         // `wake` and the completion re-poll make this unreachable; if it
         // ever fires, refuse the second cycle (the dirty bit re-polls the
@@ -996,51 +844,14 @@ impl World {
         self.metrics
             .record("controller_reconcile_ms", d as f64 / 1e6);
         self.slots[i].busy = true;
-        if !self.pipelined_controllers {
-            self.stall_until = self.stall_until.max(sim.now() + d);
-        }
+        // Plan at wake against the live store and graph; the slot stays
+        // busy until the plan lands. Deferred landings go through one
+        // `apply_batch` transfer, so mounter/syncer plans force batching.
+        let sw = Stopwatch::start();
         let mut component = self.slots[i].kind.take().expect("component present");
-        // Parallel plan phase: mounter/syncer planning is a pure function
-        // of the wake-time snapshots, so it ships to a worker lane as a
-        // plan job; the component travels with the job and is reinstalled
-        // by the landing continuation. The policer is excluded — its plan
-        // narrows/extends its own watch subscription per event, which is
-        // coordinator state.
-        if self.parallel_plan && !matches!(component, Component::Policer(_)) {
-            let mut ctx = self.plan_ctx(i, sim.now() + d);
-            // Deferred landings always go through one `apply_batch`
-            // transfer, so force batched mode.
-            let job: PlanJobFn = match component {
-                Component::Mounter(mut m) => Box::new(move || {
-                    let plan = m.plan(&mut ctx.view, &*ctx.graph, &events, true);
-                    PlanOutcome::Mounter(m, plan)
-                }),
-                Component::Syncer(mut s) => Box::new(move || {
-                    let plan = s.plan(&mut ctx.view, &events, true);
-                    PlanOutcome::Syncer(s, plan)
-                }),
-                _ => unreachable!("policer and non-controllers plan coordinator-side"),
-            };
-            self.plan_queue.push((i, job));
-            if d == 0 {
-                // Schedule-or-inline: an event scheduled at delay 0 would
-                // land after other same-timestamp events and change
-                // batching. The inline claim flushes the queue.
-                self.controller_transmit_queued(i, sim);
-            } else {
-                sim.schedule(d, move |w: &mut World, sim| {
-                    w.controller_transmit_queued(i, sim);
-                });
-            }
-            return;
-        }
-        // Serial plan (the policer always; mounter/syncer when the
-        // parallel plan phase is off): plan inline against the wake-time
-        // live store — which the snapshot a plan job would see equals,
-        // since planning only reads.
         let plan = match &mut component {
             Component::Mounter(m) => {
-                ControllerPlan::Mounter(m.plan(&mut self.api, &*self.graph, &events, true))
+                ControllerPlan::Mounter(m.plan(&mut self.api, &self.graph, &events, true))
             }
             Component::Syncer(s) => ControllerPlan::Syncer(s.plan(&mut self.api, &events, true)),
             Component::Policer(p) => {
@@ -1053,6 +864,7 @@ impl World {
             _ => unreachable!("only controller slots defer"),
         };
         self.slots[i].kind = Some(component);
+        self.metrics.record_elapsed("plan_ns", sw);
         if d == 0 {
             // Schedule-or-inline: an event scheduled at delay 0 would land
             // after other same-timestamp events and change batching.
@@ -1064,28 +876,8 @@ impl World {
         }
     }
 
-    /// Landing continuation of a pooled controller plan: claim the slot's
-    /// outcome (flushing the queue if its job hasn't run yet), reinstall
-    /// the component, and enter the unchanged transmit → admission → land
-    /// pipeline. Continuations fire in the sim's deterministic
-    /// `(time, ticket)` order — the same order the serial planner lands.
-    fn controller_transmit_queued(&mut self, i: usize, sim: &mut Sim<World>) {
-        let plan = match self.take_plan(i) {
-            PlanOutcome::Mounter(m, p) => {
-                self.slots[i].kind = Some(Component::Mounter(m));
-                ControllerPlan::Mounter(p)
-            }
-            PlanOutcome::Syncer(s, p) => {
-                self.slots[i].kind = Some(Component::Syncer(s));
-                ControllerPlan::Syncer(p)
-            }
-            PlanOutcome::Driver(..) => unreachable!("driver plans land via land_reconcile"),
-        };
-        self.controller_transmit(i, plan, 0, sim);
-    }
-
-    /// Legacy synchronous controller processing (also the async fast path
-    /// when every deferral stage is zero).
+    /// Inline controller processing: the fast path when every deferral
+    /// stage is zero.
     fn controller_inline(
         &mut self,
         i: usize,
@@ -1265,62 +1057,27 @@ impl World {
         self.slots[i].busy = true;
         let duration = self.reconcile_latency.sample(&mut self.rng);
         self.metrics.record("reconcile_ms", duration as f64 / 1e6);
-        if self.parallel_plan {
-            // The reconcile compute is a pure function of the runtime's
-            // cached model, the drained events, and the landing clock —
-            // duration is sampled now (unchanged RNG order), so the
-            // landing instant is already known and the whole cycle ships
-            // to a worker lane. Traces, effects, and commits replay at the
-            // landing continuation in deterministic ticket order.
-            let Some(Component::Driver(mut rt)) = self.slots[i].kind.take() else {
-                unreachable!("only driver slots run reconcile cycles");
-            };
-            let now_s = (sim.now() + duration) as f64 / 1e9;
-            self.plan_queue.push((
-                i,
-                Box::new(move || {
-                    let cycle = run_driver_cycle(&mut rt, &events, now_s);
-                    PlanOutcome::Driver(rt, cycle)
-                }),
-            ));
-            sim.schedule(duration, move |w: &mut World, sim| w.land_reconcile(i, sim));
-            return;
-        }
         sim.schedule(duration, move |w: &mut World, sim| {
             w.finish_reconcile(i, events, sim);
         });
     }
 
-    /// Completion of the reconcile work on the serial path: runs the
-    /// driver logic against the snapshots drained at wake time, then lands
-    /// the cycle through the same replay code the parallel plan phase
-    /// uses — which is what keeps the two modes bit-identical.
+    /// Completion of the reconcile work: runs the driver logic against the
+    /// snapshots drained at wake time, then lands the cycle.
     fn finish_reconcile(&mut self, i: usize, events: Vec<CoalescedEvent>, sim: &mut Sim<World>) {
-        let Some(Component::Driver(mut rt)) = self.slots[i].kind.take() else {
+        let sw = Stopwatch::start();
+        let Some(Component::Driver(rt)) = &mut self.slots[i].kind else {
             unreachable!("only driver slots run reconcile cycles");
         };
-        let cycle = run_driver_cycle(&mut rt, &events, sim.now() as f64 / 1e9);
+        let cycle = run_driver_cycle(rt, &events, sim.now() as f64 / 1e9);
         let oref = rt.oref.clone();
-        self.slots[i].kind = Some(Component::Driver(rt));
-        self.land_driver_cycle(i, oref, cycle, sim);
-    }
-
-    /// Landing continuation of a pooled driver cycle: claim the outcome
-    /// (flushing the queue if the job hasn't run yet), reinstall the
-    /// runtime, and replay the cycle coordinator-side.
-    fn land_reconcile(&mut self, i: usize, sim: &mut Sim<World>) {
-        let PlanOutcome::Driver(rt, cycle) = self.take_plan(i) else {
-            unreachable!("driver slot landed a controller outcome");
-        };
-        let oref = rt.oref.clone();
-        self.slots[i].kind = Some(Component::Driver(rt));
+        self.metrics.record_elapsed("plan_ns", sw);
         self.land_driver_cycle(i, oref, cycle, sim);
     }
 
     /// Lands a completed driver cycle: replays traces, error counts, and
-    /// device effects in step order — actuator RNG draws happen here, on
-    /// the shared stream, in the same order the serial planner produced
-    /// them — then transmits the queued commits over the driver link.
+    /// device effects in step order (actuator RNG draws happen here), then
+    /// transmits the queued commits over the driver link.
     fn land_driver_cycle(
         &mut self,
         i: usize,
@@ -1611,17 +1368,6 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The parallel plan phase ships components and their captured inputs
-    // to shard worker lanes; everything that crosses must be Send. A
-    // compile-time assert, phrased as a test so it can't rot silently.
-    #[test]
-    fn plan_jobs_are_send() {
-        fn is_send<T: Send>() {}
-        is_send::<PlanOutcome>();
-        is_send::<PlanJobFn>();
-        is_send::<PlanCtx>();
-    }
 
     // Satellite: the one-cycle-in-flight invariant is a hard, counted
     // error path (not a debug_assert) — a second cycle against a busy

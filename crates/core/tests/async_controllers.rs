@@ -2,7 +2,9 @@
 //! cycles take simulated time, mid-cycle bursts coalesce into exactly one
 //! follow-up cycle, controller writes survive lossy links through retries
 //! plus OCC re-validation — and with every latency stage at zero the whole
-//! machinery is bit-identical to the legacy inline path.
+//! machinery reproduces the golden digest of the legacy inline path.
+
+mod common;
 
 use proptest::prelude::*;
 
@@ -10,7 +12,9 @@ use dspace_core::driver::{Driver, Filter};
 use dspace_core::graph::MountMode;
 use dspace_core::{Space, SpaceConfig};
 use dspace_simnet::{LatencyModel, Link};
-use dspace_value::{json, AttrType, KindSchema};
+use dspace_value::{AttrType, KindSchema};
+
+use common::RunSummary;
 
 fn lamp_schema() -> KindSchema {
     KindSchema::digivice("digi.dev", "v1", "Lamp")
@@ -109,56 +113,6 @@ fn drive(space: &mut Space, rounds: usize) {
             )
             .unwrap();
         space.settle(60_000);
-    }
-}
-
-/// Everything observable about one run, for bit-identical same-seed (and
-/// async-on vs legacy) comparison: final virtual clock, all counters, the
-/// full causal trace, and a dump of every stored object with its rv.
-#[derive(Debug, PartialEq)]
-struct RunSummary {
-    now_ms_bits: u64,
-    counters: Vec<(String, u64)>,
-    trace: Vec<(u64, String, String, String)>,
-    store: Vec<(String, u64, String)>,
-}
-
-fn summarize(space: &Space) -> RunSummary {
-    RunSummary {
-        now_ms_bits: space.now_ms().to_bits(),
-        counters: space
-            .world
-            .metrics
-            .counters()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-        trace: space
-            .world
-            .trace
-            .entries()
-            .iter()
-            .map(|e| {
-                (
-                    e.t,
-                    format!("{:?}", e.kind),
-                    e.subject.clone(),
-                    e.detail.clone(),
-                )
-            })
-            .collect(),
-        store: space
-            .world
-            .api
-            .dump()
-            .into_iter()
-            .map(|o| {
-                (
-                    o.oref.to_string(),
-                    o.resource_version,
-                    json::to_string(&o.model),
-                )
-            })
-            .collect(),
     }
 }
 
@@ -269,7 +223,7 @@ fn faulty_run(seed: u64) -> (RunSummary, u64, u64) {
     assert!(!space.world.has_pending_work());
     let retries = space.world.metrics.counter("controller_retries");
     let gave_up = space.world.metrics.counter("controller_gave_up");
-    (summarize(&space), retries, gave_up)
+    (common::summarize(&space), retries, gave_up)
 }
 
 #[test]
@@ -296,46 +250,79 @@ fn faulty_controller_link_retries_and_is_deterministic() {
     );
 }
 
-fn scene_run(async_on: bool, write_link: Option<Link>, threads: usize) -> RunSummary {
+fn scene_run(write_link: Option<Link>, threads: usize) -> RunSummary {
     let mut space = build_scene(SpaceConfig {
-        async_controllers: async_on,
         controller_write: write_link,
         threads,
         ..SpaceConfig::default()
     });
     drive(&mut space, 6);
-    summarize(&space)
+    common::summarize(&space)
+}
+
+/// FNV-1a digest of `scene_run(None, 1)` (and of the same run at the
+/// machine's max shard-thread cap), recorded with the legacy inline
+/// controller path (`async_controllers: false`) before that switch was
+/// deleted.
+const SCENE_RUN_GOLDEN: u64 = 0x1c2f_3a13_365a_5bed;
+
+#[test]
+fn zero_latency_runtime_reproduces_golden_digest() {
+    // Replay acceptance: with all-zero latency the runtime must reproduce
+    // the recorded legacy inline run (clock, counters, trace, store dump)
+    // at shard-thread caps 1 and max. The `Link::instant()` variant is the
+    // non-vacuous half: it forces every cycle through the full deferred
+    // plan→transmit→admit→land pipeline (zero RNG draws, zero delay)
+    // rather than short-circuiting to the inline path.
+    for threads in [1, common::max_threads()] {
+        let fast_path = scene_run(None, threads);
+        assert_eq!(
+            fast_path.digest(),
+            SCENE_RUN_GOLDEN,
+            "zero-latency run diverged from the golden digest (threads={threads})"
+        );
+        let deferred = scene_run(Some(Link::instant()), threads);
+        assert_eq!(
+            fast_path, deferred,
+            "deferred pipeline != inline fast path (threads={threads})"
+        );
+    }
 }
 
 #[test]
-fn async_runtime_is_bit_identical_to_legacy() {
-    // Replay acceptance: async controllers with all-zero latency must be
-    // bit-identical (clock, counters, trace, store dump) to the legacy
-    // inline path, at shard-thread caps 1 and max. The `Link::instant()`
-    // variant is the non-vacuous half: it forces every cycle through the
-    // full deferred plan→transmit→admit→land pipeline (zero RNG draws,
-    // zero delay) rather than short-circuiting to the inline path.
-    let max = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let baseline = scene_run(false, None, 1);
-    for threads in [1, max] {
-        let legacy = scene_run(false, None, threads);
-        let fast_path = scene_run(true, None, threads);
-        let deferred = scene_run(true, Some(Link::instant()), threads);
-        assert_eq!(
-            legacy, fast_path,
-            "zero-latency async != legacy (threads={threads})"
-        );
-        assert_eq!(
-            legacy, deferred,
-            "deferred pipeline != legacy (threads={threads})"
-        );
-        assert_eq!(
-            legacy, baseline,
-            "thread cap changed the run (threads={threads})"
-        );
+fn deferred_planning_reads_the_live_store() {
+    // Controller cycles plan at wake against the live apiserver: no
+    // per-wake store snapshot is taken, so snapshot-served reads stay
+    // flat while coordinator (direct) reads grow with every cycle.
+    let mut space = build_scene(SpaceConfig {
+        controller_reconcile: LatencyModel::FixedMs(10.0),
+        admission: LatencyModel::FixedMs(1.0),
+        ..SpaceConfig::default()
+    });
+    let snapshot_reads = space.world.api.snapshot_reads();
+    let direct_reads = space.world.api.direct_reads();
+    for i in 1..=4 {
+        space
+            .set_intent("kid/brightness", (i as f64 / 10.0).into())
+            .unwrap();
+        space.run_for_ms(2_000);
     }
+    assert!(space
+        .world
+        .metrics
+        .histogram("controller_reconcile_ms")
+        .is_some());
+    assert_eq!(space.world.api.snapshot_reads(), snapshot_reads);
+    assert!(space.world.api.direct_reads() > direct_reads);
+    // `Space::read` is itself a snapshot read, so it comes last.
+    assert_eq!(
+        space
+            .read("hub", ".mount.Lamp.kid.control.brightness.status")
+            .unwrap()
+            .as_f64(),
+        Some(0.4),
+        "intents must propagate through the deferred controller cycles"
+    );
 }
 
 proptest! {

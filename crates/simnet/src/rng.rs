@@ -68,26 +68,6 @@ impl Rng {
         self.next_f64() < p
     }
 
-    /// Derives an independent child stream without consuming any draws
-    /// from `self`.
-    ///
-    /// The child's seed mixes the parent's *current* state with `salt`
-    /// through one SplitMix64 finalizer round, so (a) the parent's draw
-    /// sequence is untouched — callers that never fork observe exactly
-    /// the same stream — and (b) distinct salts (e.g. per-slot ids in
-    /// the plan phase) get decorrelated streams whose contents do not
-    /// depend on the order the forks are consumed in.
-    pub fn stream(&self, salt: u64) -> Rng {
-        let mut z = self
-            .state
-            .wrapping_add(salt.wrapping_mul(0x9E3779B97F4A7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        Rng {
-            state: z ^ (z >> 31),
-        }
-    }
-
     /// Picks a uniformly random element of a slice.
     ///
     /// Returns `None` on an empty slice.
@@ -160,25 +140,6 @@ mod tests {
         let mut r = Rng::new(17);
         let hits = (0..10_000).filter(|_| r.chance(0.25)).count();
         assert!((2200..2800).contains(&hits), "hits={hits}");
-    }
-
-    #[test]
-    fn stream_fork_leaves_parent_untouched_and_decorrelates_salts() {
-        let mut forked = Rng::new(42);
-        let mut plain = Rng::new(42);
-        let mut s0 = forked.stream(0);
-        let mut s1 = forked.stream(1);
-        // Forking consumed nothing: the parent replays the unforked stream.
-        for _ in 0..100 {
-            assert_eq!(forked.next_u64(), plain.next_u64());
-        }
-        // Distinct salts give distinct streams, and equal salts replay.
-        assert_ne!(s0.next_u64(), s1.next_u64());
-        let mut again = Rng::new(42).stream(0);
-        let mut reference = Rng::new(42).stream(0);
-        for _ in 0..100 {
-            assert_eq!(again.next_u64(), reference.next_u64());
-        }
     }
 
     #[test]
