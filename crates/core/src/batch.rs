@@ -123,6 +123,13 @@ impl WriteBatch {
         Ok((obj.model, obj.resource_version))
     }
 
+    /// `true` if a queued write staged `oref` in the overlay, so
+    /// [`get`](Self::get) serves its simulated post-write state rather than
+    /// the store's.
+    pub(crate) fn staged(&self, oref: &ObjectRef) -> bool {
+        self.overlay.contains_key(oref)
+    }
+
     /// Reads one attribute (see [`get`](Self::get)); missing paths read
     /// as `Null`, like the serial `get_path` verb.
     pub fn get_path(

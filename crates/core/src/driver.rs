@@ -170,6 +170,9 @@ pub struct Handler {
 pub struct ReconcileResult {
     /// The model after all handlers ran.
     pub model: Value,
+    /// The changes from `old` to `new` that triggered the cycle
+    /// (`diff(old, new)`), before any handler ran.
+    pub changes: Vec<Change>,
     /// Side effects requested by handlers.
     pub effects: Vec<Effect>,
     /// Handler errors (reflex evaluation failures); the cycle continues
@@ -322,26 +325,36 @@ impl Driver {
         // still fires, because a driver's own commit does not retrigger a
         // cycle (Fig. 4: "unless the update is caused by the previous
         // reconciliation").
-        let mut prev = old.clone();
+        // The first pass diffs against `old` in place; later passes diff
+        // against the previous pass's output.
+        let changes = diff(old, &working);
+        let mut prev: Option<Value> = None;
         for _pass in 0..4 {
-            let changes = diff(&prev, &working);
-            if changes.is_empty() {
+            let later;
+            let pass_changes: &[Change] = match &prev {
+                None => &changes,
+                Some(p) => {
+                    later = diff(p, &working);
+                    &later
+                }
+            };
+            if pass_changes.is_empty() {
                 break;
             }
-            prev = working.clone();
+            prev = Some(working.clone());
             for &i in &order {
                 let handler = &mut self.handlers[i];
                 if handler.priority < 0 {
                     continue; // Disabled (§4.2: negative priority disables).
                 }
-                if !handler.filter.matches(&changes) {
+                if !handler.filter.matches(pass_changes) {
                     continue;
                 }
                 match &mut handler.body {
                     Body::Native(f) => {
                         let mut ctx = ReconcileCtx {
                             model: &mut working,
-                            changes: &changes,
+                            changes: pass_changes,
                             now_s,
                             effects: &mut effects,
                         };
@@ -360,7 +373,7 @@ impl Driver {
                     }
                 }
             }
-            if working == prev {
+            if prev.as_ref() == Some(&working) {
                 break;
             }
         }
@@ -368,6 +381,7 @@ impl Driver {
         effects.dedup();
         ReconcileResult {
             model: working,
+            changes,
             effects,
             errors,
             ran,
@@ -511,6 +525,26 @@ mod tests {
         );
         // Duplicate commands from fixpoint passes collapse to one.
         assert_eq!(result.effects.len(), 1);
+    }
+
+    #[test]
+    fn reconcile_reports_the_triggering_diff() {
+        let mut driver = Driver::new();
+        driver.on(Filter::on_control(), 0, "power", |ctx| {
+            let intent = ctx.digi().intent("power");
+            ctx.digi().set_status("power", intent);
+        });
+        let old = lamp();
+        let mut new = old.clone();
+        new.set(&".control.power.intent".parse().unwrap(), "on".into())
+            .unwrap();
+        new.set(&".obs.reason".parse().unwrap(), "x".into())
+            .unwrap();
+        let result = driver.reconcile(&old, &new, 0.0);
+        // The handler's own status write is not part of the trigger.
+        assert_eq!(result.changes, diff(&old, &new));
+        assert_eq!(result.changes.len(), 2);
+        assert!(driver.reconcile(&new, &new, 0.0).changes.is_empty());
     }
 
     #[test]

@@ -155,7 +155,8 @@ fn run_driver_cycle(rt: &mut DriverRuntime, events: &[CoalescedEvent], now_s: f6
             continue;
         }
         let result = rt.driver.reconcile(&rt.last_model, &ev.model, now_s);
-        let changed = dspace_value::diff(&rt.last_model, &ev.model)
+        let changed = result
+            .changes
             .iter()
             .take(8)
             .map(|c| c.path.to_string())

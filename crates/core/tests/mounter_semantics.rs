@@ -410,3 +410,33 @@ fn stale_replica_does_not_sync_southbound() {
         Some(0.9)
     );
 }
+
+#[test]
+fn unyield_delivers_an_intent_written_while_yielded() {
+    // Child and replica stay otherwise unchanged throughout, so only the
+    // edge state separates "hold the parent's write" from "deliver it":
+    // a settled-edge record must not outlive a state change.
+    let (mut space, pa) = space_with_chain(MountMode::Expose);
+    let ch = dspace_apiserver::ObjectRef::default_ns("Node", "ch");
+    space.yield_(&ch, &pa).unwrap();
+    space.run_for_ms(1_000);
+    space
+        .world
+        .api
+        .patch_path(
+            dspace_apiserver::ApiServer::ADMIN,
+            &pa,
+            ".mount.Node.ch.control.level.intent",
+            Value::from(0.33),
+        )
+        .unwrap();
+    space.pump();
+    space.run_for_ms(2_000);
+    assert!(
+        space.intent("ch/level").unwrap().is_null(),
+        "a yielded parent's intent must not reach the child"
+    );
+    space.unyield(&ch, &pa).unwrap();
+    space.run_for_ms(2_000);
+    assert_eq!(space.intent("ch/level").unwrap().as_f64(), Some(0.33));
+}

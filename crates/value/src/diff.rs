@@ -57,38 +57,46 @@ impl Change {
 /// ```
 pub fn diff(old: &Value, new: &Value) -> Vec<Change> {
     let mut out = Vec::new();
-    walk(&Path::root(), old, new, &mut out);
+    walk(&mut Vec::new(), old, new, &mut out);
     out
 }
 
-fn walk(path: &Path, old: &Value, new: &Value, out: &mut Vec<Change>) {
+/// Recursive step of [`diff`]. `stack` holds the keys from the root down
+/// to `old`/`new`; it is borrowed from the documents and reused across the
+/// whole walk, so equal subtrees cost comparisons only and a [`Path`] is
+/// built just for the changes pushed to `out`.
+fn walk<'a>(stack: &mut Vec<&'a str>, old: &'a Value, new: &'a Value, out: &mut Vec<Change>) {
     match (old, new) {
         (Value::Object(a), Value::Object(b)) => {
             for (k, va) in a {
+                stack.push(k);
                 match b.get(k) {
-                    Some(vb) => walk(&path.child(k.clone()), va, vb, out),
+                    Some(vb) => walk(stack, va, vb, out),
                     None => out.push(Change {
-                        path: path.child(k.clone()),
+                        path: Path::keys(stack.iter().copied()),
                         op: ChangeOp::Removed,
                         old: va.clone(),
                         new: Value::Null,
                     }),
                 }
+                stack.pop();
             }
             for (k, vb) in b {
                 if !a.contains_key(k) {
+                    stack.push(k);
                     out.push(Change {
-                        path: path.child(k.clone()),
+                        path: Path::keys(stack.iter().copied()),
                         op: ChangeOp::Added,
                         old: Value::Null,
                         new: vb.clone(),
                     });
+                    stack.pop();
                 }
             }
         }
         (a, b) if a == b => {}
         (a, b) => out.push(Change {
-            path: path.clone(),
+            path: Path::keys(stack.iter().copied()),
             op: ChangeOp::Updated,
             old: a.clone(),
             new: b.clone(),

@@ -2,7 +2,94 @@
 
 use proptest::prelude::*;
 
-use dspace_value::{diff, json, yaml, Path, Value};
+use dspace_value::{diff, json, yaml, Change, ChangeOp, Path, Value};
+
+/// The per-node-`Path` walk `diff` used before it reused one key stack:
+/// kept as the reference the stack walk must match change for change.
+fn reference_diff(old: &Value, new: &Value) -> Vec<Change> {
+    fn walk(path: &Path, old: &Value, new: &Value, out: &mut Vec<Change>) {
+        match (old, new) {
+            (Value::Object(a), Value::Object(b)) => {
+                for (k, va) in a {
+                    match b.get(k) {
+                        Some(vb) => walk(&path.child(k.clone()), va, vb, out),
+                        None => out.push(Change {
+                            path: path.child(k.clone()),
+                            op: ChangeOp::Removed,
+                            old: va.clone(),
+                            new: Value::Null,
+                        }),
+                    }
+                }
+                for (k, vb) in b {
+                    if !a.contains_key(k) {
+                        out.push(Change {
+                            path: path.child(k.clone()),
+                            op: ChangeOp::Added,
+                            old: Value::Null,
+                            new: vb.clone(),
+                        });
+                    }
+                }
+            }
+            (a, b) if a == b => {}
+            (a, b) => out.push(Change {
+                path: path.clone(),
+                op: ChangeOp::Updated,
+                old: a.clone(),
+                new: b.clone(),
+            }),
+        }
+    }
+    let mut out = Vec::new();
+    walk(&Path::root(), old, new, &mut out);
+    out
+}
+
+/// Applies one edit to `doc`, steered by `pick`: descend into an existing
+/// key, or add, remove or retype one. Array elements are edited in place
+/// too, so arrays (atomic in a diff) also change.
+fn mutate(doc: &mut Value, pick: &[usize], with: &Value) {
+    let Some((&first, rest)) = pick.split_first() else {
+        *doc = with.clone();
+        return;
+    };
+    match doc {
+        Value::Object(map) if !map.is_empty() => {
+            let key = map.keys().nth(first % map.len()).cloned().unwrap();
+            match first % 4 {
+                0 => {
+                    map.remove(&key);
+                }
+                1 => {
+                    map.insert(format!("{key}_new"), with.clone());
+                }
+                _ => mutate(map.get_mut(&key).unwrap(), rest, with),
+            }
+        }
+        Value::Array(items) if !items.is_empty() => {
+            let n = items.len();
+            mutate(&mut items[first % n], rest, with);
+        }
+        _ => *doc = with.clone(),
+    }
+}
+
+/// A nested object-rooted document with edits of its own applied.
+fn arb_edit_pair() -> impl Strategy<Value = (Value, Value)> {
+    (
+        prop::collection::btree_map("[a-z][a-z0-9]{0,3}", arb_value(), 0..6),
+        prop::collection::vec((prop::collection::vec(0usize..64, 0..5), arb_value()), 0..6),
+    )
+        .prop_map(|(fields, edits)| {
+            let old = Value::Object(fields);
+            let mut new = old.clone();
+            for (pick, with) in &edits {
+                mutate(&mut new, pick, with);
+            }
+            (old, new)
+        })
+}
 
 /// Strategy producing arbitrary JSON-like values of bounded depth.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -40,6 +127,21 @@ proptest! {
         prop_assert_eq!(&v, &json::parse(&pretty).unwrap());
     }
 
+    /// The stack walk returns the reference walk's changes, in order, on
+    /// edited copies (shared subtrees, added/removed keys, type changes)
+    /// and on unrelated documents alike.
+    #[test]
+    fn diff_matches_reference_walk(
+        pair in arb_edit_pair(),
+        other in arb_value(),
+    ) {
+        let (old, new) = pair;
+        prop_assert_eq!(diff(&old, &new), reference_diff(&old, &new));
+        prop_assert_eq!(diff(&new, &old), reference_diff(&new, &old));
+        prop_assert_eq!(diff(&old, &other), reference_diff(&old, &other));
+        prop_assert_eq!(diff(&other, &new), reference_diff(&other, &new));
+    }
+
     /// diff(a, a) is empty for all documents.
     #[test]
     fn diff_reflexive(v in arb_value()) {
@@ -58,7 +160,7 @@ proptest! {
         let mut patched = a.clone();
         for change in diff(&a, &b) {
             match change.op {
-                dspace_value::ChangeOp::Removed => {
+                ChangeOp::Removed => {
                     patched.remove(&change.path);
                 }
                 _ => {
@@ -110,7 +212,7 @@ proptest! {
         // Every change between merged and b must come from `a`'s extra keys,
         // i.e. diffing b against merged only reports additions.
         for change in diff(&b, &merged) {
-            prop_assert_eq!(change.op, dspace_value::ChangeOp::Added);
+            prop_assert_eq!(change.op, ChangeOp::Added);
         }
     }
 }
