@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use dspace_value::{KindSchema, Path, Value};
+use dspace_value::{KindSchema, Path, Shared, Value};
 
 use crate::admission::{AdmissionResponse, AdmissionReview, AdmissionWebhook};
 use crate::client::{Client, ReadClient};
@@ -18,8 +18,19 @@ use crate::store::{
 use crate::wal::{DurabilityOptions, WalError};
 
 /// A post-commit webhook notification queued by the prepared batch path:
-/// `(ticket, verb, oref, old model, new model)`.
-type Review = (usize, Verb, ObjectRef, Option<Value>, Option<Value>);
+/// `(ticket, verb, oref, old model, new model)`. The old model is the
+/// store's own shared snapshot (or an earlier op's `new`), never a copy.
+type Review = (
+    usize,
+    Verb,
+    ObjectRef,
+    Option<Shared<Value>>,
+    Option<Shared<Value>>,
+);
+
+/// The prepared batch path's view of one object: its model and resource
+/// version, shared rather than copied.
+type Current = (Shared<Value>, u64);
 
 /// The API server.
 ///
@@ -274,6 +285,10 @@ impl ApiServer {
     /// validation and admission see the same old/new models the serial
     /// verbs would, then the surviving ops commit on the shard workers and
     /// webhooks observe the outcomes in op order.
+    ///
+    /// Models travel as shared handles: the current model is the store's
+    /// snapshot (or the overlay's), and each op copies a model only to
+    /// build its candidate `new`, which the overlay and its review share.
     fn apply_batch_prepared(
         &mut self,
         subject: &str,
@@ -281,7 +296,7 @@ impl ApiServer {
         results: &mut [Option<Result<u64, ApiError>>],
     ) {
         // The batch's view of each touched object: `None` = deleted.
-        let mut overlay: BTreeMap<ObjectRef, Option<(Value, u64)>> = BTreeMap::new();
+        let mut overlay: BTreeMap<ObjectRef, Option<Current>> = BTreeMap::new();
         let mut store_ops: Vec<(usize, StoreOp)> = Vec::with_capacity(ops.len());
         let mut reviews: Vec<Review> = Vec::new();
         for (i, op) in ops {
@@ -292,10 +307,12 @@ impl ApiServer {
                 None => self
                     .store
                     .get(&oref)
-                    .map(|o| ((*o.model).clone(), o.resource_version)),
+                    .map(|o| (o.model.clone(), o.resource_version)),
             };
+            let old = current.as_ref().map(|(m, _)| m.clone());
             match self.prepare_batch_op(subject, op, current) {
-                Ok((sop, old, new, entry)) => {
+                Ok((sop, entry)) => {
+                    let new = entry.as_ref().map(|(m, _)| m.clone());
                     overlay.insert(oref.clone(), entry);
                     reviews.push((i, verb, oref, old, new));
                     store_ops.push((i, sop));
@@ -308,22 +325,21 @@ impl ApiServer {
         }
         for (i, verb, oref, old, new) in reviews {
             if matches!(results[i], Some(Ok(_))) {
-                self.observe(subject, verb, &oref, old.as_ref(), new.as_ref());
+                self.observe(subject, verb, &oref, old.as_deref(), new.as_deref());
             }
         }
     }
 
     /// Runs one batch op through validation and admission against the
-    /// batch overlay, returning the store op to commit, the (old, new)
-    /// models for the post-commit `observe`, and the overlay entry the op
-    /// leaves behind.
-    #[allow(clippy::type_complexity)]
+    /// batch overlay, returning the store op to commit and the overlay
+    /// entry the op leaves behind (its committed model, `None` for a
+    /// delete), which is also the `new` model its `observe` reports.
     fn prepare_batch_op(
         &mut self,
         subject: &str,
         op: BatchOp,
-        current: Option<(Value, u64)>,
-    ) -> Result<(StoreOp, Option<Value>, Option<Value>, Option<(Value, u64)>), ApiError> {
+        current: Option<Current>,
+    ) -> Result<(StoreOp, Option<Current>), ApiError> {
         match op {
             BatchOp::Create { oref, model } => {
                 self.validate(&oref, &model)?;
@@ -335,9 +351,7 @@ impl ApiServer {
                 stamp_gen(&mut stamped, 1);
                 Ok((
                     StoreOp::Create { oref, model },
-                    None,
-                    Some(stamped.clone()),
-                    Some((stamped, 1)),
+                    Some((Shared::new(stamped), 1)),
                 ))
             }
             BatchOp::Update {
@@ -347,6 +361,9 @@ impl ApiServer {
             } => {
                 self.validate(&oref, &model)?;
                 let (old, rv) = current.ok_or_else(|| ApiError::NotFound(oref.clone()))?;
+                // Admission runs before the OCC check, as in the serial
+                // verb, whose store commit is where a conflict surfaces.
+                self.admit(subject, Verb::Update, &oref, Some(&old), Some(&model))?;
                 if let Some(expected) = expected_rv {
                     if expected != rv {
                         return Err(ApiError::Conflict {
@@ -356,7 +373,6 @@ impl ApiServer {
                         });
                     }
                 }
-                self.admit(subject, Verb::Update, &oref, Some(&old), Some(&model))?;
                 let mut stamped = model.clone();
                 stamp_gen(&mut stamped, rv + 1);
                 Ok((
@@ -365,31 +381,29 @@ impl ApiServer {
                         model,
                         expected_rv,
                     },
-                    Some(old),
-                    Some(stamped.clone()),
-                    Some((stamped, rv + 1)),
+                    Some((Shared::new(stamped), rv + 1)),
                 ))
             }
             BatchOp::Patch { oref, patch } => {
                 let (old, rv) = current.ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-                let mut new = old.clone();
+                let mut new = (*old).clone();
                 new.merge(&patch);
                 self.validate(&oref, &new)?;
                 self.admit(subject, Verb::Patch, &oref, Some(&old), Some(&new))?;
                 stamp_gen(&mut new, rv + 1);
                 Ok((
                     StoreOp::Merge { oref, patch },
-                    Some(old),
-                    Some(new.clone()),
-                    Some((new, rv + 1)),
+                    Some((Shared::new(new), rv + 1)),
                 ))
             }
             BatchOp::PatchPath { oref, path, value } => {
+                // A missing object is reported before a bad path, as in
+                // the serial verb.
+                let (old, rv) = current.ok_or_else(|| ApiError::NotFound(oref.clone()))?;
                 let parsed: Path = path
                     .parse()
                     .map_err(|e| ApiError::BadRequest(format!("bad path {path}: {e}")))?;
-                let (old, rv) = current.ok_or_else(|| ApiError::NotFound(oref.clone()))?;
-                let mut new = old.clone();
+                let mut new = (*old).clone();
                 new.set(&parsed, value.clone())
                     .map_err(|e| ApiError::BadRequest(e.to_string()))?;
                 self.validate(&oref, &new)?;
@@ -401,15 +415,13 @@ impl ApiServer {
                         path: parsed,
                         value,
                     },
-                    Some(old),
-                    Some(new.clone()),
-                    Some((new, rv + 1)),
+                    Some((Shared::new(new), rv + 1)),
                 ))
             }
             BatchOp::Delete { oref } => {
                 let (old, _) = current.ok_or_else(|| ApiError::NotFound(oref.clone()))?;
                 self.admit(subject, Verb::Delete, &oref, Some(&old), None)?;
-                Ok((StoreOp::Delete { oref }, Some(old), None, None))
+                Ok((StoreOp::Delete { oref }, None))
             }
         }
     }

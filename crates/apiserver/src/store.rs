@@ -97,6 +97,20 @@ struct LogEntry {
     bytes: u64,
 }
 
+impl LogEntry {
+    /// The event this entry delivers, carrying `model` (the entry's own
+    /// snapshot, or its materialization from a rollback).
+    fn event(&self, model: Shared<Value>) -> WatchEvent {
+        WatchEvent {
+            revision: self.revision,
+            kind: self.kind,
+            oref: self.oref.clone(),
+            model,
+            resource_version: self.resource_version,
+        }
+    }
+}
+
 /// How a log entry stores its model: materialized, or as the inverse of
 /// the mutation relative to the object's next-newer log entry.
 #[derive(Debug, Clone)]
@@ -252,10 +266,10 @@ struct Slot {
     /// not unhook the others.
     subs: BTreeMap<WatchId, usize>,
     charge: Charge,
-    /// Set when an append charged this slot since the last
-    /// [`Store::drain_dirty_watchers`] pass; the slot's key is then listed
-    /// once in its shard's `dirty_slots`, so the drain enumerates only
-    /// slots that actually took events.
+    /// Set when an append charged this slot since its shard's dirty
+    /// slots were last routed to their watchers; the slot's key is then
+    /// listed once in the shard's `dirty_slots`, so routing enumerates
+    /// only slots that actually took events.
     dirty: bool,
 }
 
@@ -275,6 +289,13 @@ struct ShardMember {
     /// Shard revision of the next event this watcher has yet to examine:
     /// all events with `revision < cursor` are delivered or filtered out.
     cursor: u64,
+    /// The watcher's selectors that can match in this shard — its
+    /// namespace-spanning ones plus those homed here — in attach order,
+    /// each with the shard revision its registration took effect at. An
+    /// entry matches a registration only from that revision on, so a
+    /// widened subscription never reaches back to events committed before
+    /// it. Polls match log entries against this short list only.
+    selectors: Vec<(WatchSelector, u64)>,
     /// Plain selector slots this member occupies, with per-slot
     /// registration refcounts.
     slots: Vec<(SlotKey, usize)>,
@@ -308,15 +329,24 @@ enum Acct {
     Exact { pending: u64, bytes: u64 },
 }
 
+/// Coordinator-side state of one watch subscription. The subscription is
+/// the union of the selectors held by its shard memberships (see
+/// [`ShardMember::selectors`]); a watcher matching an event through
+/// several selectors still receives it once.
 #[derive(Debug, Clone, Default)]
 struct Watcher {
-    /// The union of these selectors defines the subscription; a watcher
-    /// matching an event through several selectors still receives it once.
-    selectors: Vec<WatchSelector>,
-    /// Shards this watcher is a member of; per-shard cursors and pending
-    /// accounting live in the shard itself (see [`ShardMember`]), and
-    /// `has_pending`/`pending_bytes` derive from them on demand.
+    /// Namespace-spanning selectors (`All`, `Kind`) in attach order: every
+    /// shard the watcher joins, present or future, registers them.
+    globals: Vec<WatchSelector>,
+    /// Shards this watcher is a member of; per-shard cursors, selectors
+    /// and pending accounting live in the shard itself.
     shards: BTreeSet<String>,
+    /// Member shards that may hold undelivered events, unordered and
+    /// without duplicates: fed by the commit path's dirty-slot routing
+    /// (sharing the shard's interned name), emptied by polls. Always a
+    /// superset of the shards where this watcher has pending events, so
+    /// polls and pending queries visit only these.
+    pending: Vec<Arc<str>>,
 }
 
 /// Per-shard side effects of a mutation batch, accumulated on the owning
@@ -366,6 +396,9 @@ impl ShardTally {
 /// scheduling-dependent results.
 #[derive(Debug, Default)]
 struct Shard {
+    /// The namespace, interned so pending-shard routing shares it instead
+    /// of allocating.
+    name: Arc<str>,
     /// The namespace's objects, keyed by full reference.
     ///
     /// The map lives behind an `Arc` so [`Store::snapshot`] can publish it
@@ -424,12 +457,16 @@ struct Shard {
     /// Set while the namespace is being deleted: once the objects are gone
     /// and the log drains, the shard itself is dropped.
     retiring: bool,
-    /// Keys of slots charged since the last dirty drain (each listed once,
-    /// guarded by [`Slot::dirty`]). Maintained on the owning worker;
-    /// drained on the coordinator, which also clears the flags.
+    /// Keys of slots charged since the last routing pass (each listed
+    /// once, guarded by [`Slot::dirty`]). Maintained on the owning worker;
+    /// routed on the coordinator, which also clears the flags.
     dirty_slots: Vec<SlotKey>,
-    /// Exact-mode members charged since the last dirty drain.
+    /// Exact-mode members charged since the last routing pass.
     dirty_exact: BTreeSet<WatchId>,
+    /// Set while the shard is queued in [`Store::dirty_shards`].
+    routing_due: bool,
+    /// The revision through which this shard's charges were routed.
+    routed: u64,
 }
 
 /// One value-keyed secondary index over a `(kind, path)` pair.
@@ -565,14 +602,16 @@ impl Shard {
         m.cursor = committed + 1;
     }
 
-    /// Registers a selector for `id`; a first registration creates the
-    /// member with `cursor` (existing members keep their position).
-    fn register(&mut self, id: WatchId, selector: &WatchSelector, cursor: u64) {
+    /// Registers a selector for `id`, effective from the next revision; a
+    /// first registration creates the member with its cursor there
+    /// (existing members keep their position).
+    fn register(&mut self, id: WatchId, selector: WatchSelector) {
+        let from = self.committed + 1;
         // Freeze the member's derived pending before its slot set
         // changes: a cell→exact transition must not lose or double
         // events.
         let frozen = self.members.get(&id).map(|m| self.member_pending(m));
-        let key = Self::slot_key(selector);
+        let key = Self::slot_key(&selector);
         let base = match &key {
             Some(SlotKey::All) => {
                 *self.all_watchers.subs.entry(id).or_default() += 1;
@@ -589,7 +628,7 @@ impl Shard {
                 slot.charge
             }
             None => {
-                let WatchSelector::Predicate(p) = selector else {
+                let WatchSelector::Predicate(p) = &selector else {
                     unreachable!("keyless selectors are predicates")
                 };
                 // Warm the indexes the predicate's plan probes, so the
@@ -624,13 +663,14 @@ impl Shard {
                 };
                 let slots = key.map(|k| (k, 1)).into_iter().collect::<Vec<_>>();
                 let pred_refs = usize::from(slots.is_empty());
-                if pred_refs > 0 || !matches!(acct, Acct::Cell { .. }) {
+                if pred_refs > 0 {
                     self.exact_ids.insert(id);
                 }
                 self.members.insert(
                     id,
                     ShardMember {
-                        cursor,
+                        cursor: from,
+                        selectors: vec![(selector, from)],
                         slots,
                         pred_refs,
                         acct,
@@ -638,6 +678,7 @@ impl Shard {
                 );
             }
             Some(m) => {
+                m.selectors.push((selector, from));
                 match key {
                     Some(k) => match m.slots.iter_mut().find(|(sk, _)| *sk == k) {
                         Some((_, refs)) => *refs += 1,
@@ -657,10 +698,49 @@ impl Shard {
         }
     }
 
-    /// Releases one selector registration. Returns `true` when this was
-    /// the member's last registration in the shard (the membership is
-    /// gone); pending counts are derived, so nothing needs refunding.
-    fn deregister(&mut self, id: WatchId, selector: &WatchSelector) -> bool {
+    /// Releases the newest registration of `selector` for `id`. Returns
+    /// `None` when the member holds no such registration, `Some(true)`
+    /// when it was the member's last one (the membership is gone) and
+    /// `Some(false)` otherwise — the caller then re-settles the member's
+    /// pending counts with [`Shard::resettle`].
+    fn deregister(&mut self, id: WatchId, selector: &WatchSelector) -> Option<bool> {
+        let m = self.members.get_mut(&id)?;
+        let pos = m.selectors.iter().rposition(|(s, _)| s == selector)?;
+        m.selectors.remove(pos);
+        match Self::slot_key(selector) {
+            Some(k) => {
+                if let Some(pos) = m.slots.iter().position(|(sk, _)| *sk == k) {
+                    m.slots[pos].1 -= 1;
+                    if m.slots[pos].1 == 0 {
+                        m.slots.remove(pos);
+                    }
+                }
+            }
+            None => m.pred_refs -= 1,
+        }
+        let gone = m.selectors.is_empty();
+        if gone {
+            self.members.remove(&id);
+            self.exact_ids.remove(&id);
+        }
+        self.release(id, selector);
+        Some(gone)
+    }
+
+    /// Drops a whole membership with every registration it holds.
+    fn remove_member(&mut self, id: WatchId) {
+        let Some(m) = self.members.remove(&id) else {
+            return;
+        };
+        self.exact_ids.remove(&id);
+        for (selector, _) in &m.selectors {
+            self.release(id, selector);
+        }
+    }
+
+    /// Releases one registration's hold on its selector slot (or
+    /// predicate subscription), pruning slots nobody holds any more.
+    fn release(&mut self, id: WatchId, selector: &WatchSelector) {
         fn unref(slot: &mut Slot, id: WatchId) {
             if let Some(n) = slot.subs.get_mut(&id) {
                 *n -= 1;
@@ -677,18 +757,13 @@ impl Shard {
                 }
             }
         }
-        let key = Self::slot_key(selector);
-        match (&key, selector) {
-            (Some(SlotKey::All), _) => {
-                unref(&mut self.all_watchers, id);
+        match selector {
+            WatchSelector::All => unref(&mut self.all_watchers, id),
+            WatchSelector::Kind(k) | WatchSelector::KindInNamespace { kind: k, .. } => {
+                prune(&mut self.kind_watchers, k, id)
             }
-            (Some(SlotKey::Kind(k)), _) => {
-                prune(&mut self.kind_watchers, k, id);
-            }
-            (Some(SlotKey::Object(r)), _) => {
-                prune(&mut self.object_watchers, r, id);
-            }
-            (None, WatchSelector::Predicate(p)) => {
+            WatchSelector::Object(r) => prune(&mut self.object_watchers, r, id),
+            WatchSelector::Predicate(p) => {
                 if let Some(slots) = self.pred_watchers.get_mut(&p.kind) {
                     if let Some(pos) = slots.iter().position(|w| w.id == id && w.pred == p.pred) {
                         slots[pos].refs -= 1;
@@ -704,31 +779,35 @@ impl Shard {
                 // state, cheap to keep current and useful to the next
                 // query.
             }
-            _ => unreachable!("plain selectors have slot keys"),
         }
-        let Some(m) = self.members.get_mut(&id) else {
-            return false;
+    }
+
+    /// Re-derives a member's pending counts after some of its
+    /// registrations went away, so events only they matched stop being
+    /// owed. Exact members take the recount as their counters; a cell
+    /// member (its one slot is unchanged, but a remaining registration
+    /// may start later than the removed one) rebases its baseline.
+    fn resettle(&mut self, id: WatchId) {
+        let Some(m) = self.members.get(&id) else {
+            return;
         };
-        match key {
-            Some(k) => {
-                if let Some(pos) = m.slots.iter().position(|(sk, _)| *sk == k) {
-                    m.slots[pos].1 -= 1;
-                    if m.slots[pos].1 == 0 {
-                        m.slots.remove(pos);
-                    }
+        if self.member_pending(m).0 == 0 {
+            return;
+        }
+        let (pending, bytes) = recount_pending(self, m.cursor, &m.selectors);
+        let acct = match &m.acct {
+            Acct::Exact { .. } => Acct::Exact { pending, bytes },
+            Acct::Cell { .. } => {
+                let c = self.slot_charge(&m.slots[0].0);
+                Acct::Cell {
+                    base: Charge {
+                        events: c.events - pending,
+                        bytes: c.bytes - bytes,
+                    },
                 }
             }
-            None => m.pred_refs = m.pred_refs.saturating_sub(1),
-        }
-        if m.slots.is_empty() && m.pred_refs == 0 {
-            self.members.remove(&id);
-            self.exact_ids.remove(&id);
-            return true;
-        }
-        // A remaining exact member may now match fewer events than its
-        // counters claim; callers re-settle via `recount_pending`. Cell
-        // members cannot be affected: their one slot key is unchanged.
-        false
+        };
+        self.members.get_mut(&id).expect("present above").acct = acct;
     }
 
     /// Builds the `(kind, path)` index from the object map if it does not
@@ -789,10 +868,13 @@ pub struct WatchStats {
     /// amortization (serial verbs compact at poll time instead).
     pub batch_compaction_passes: u64,
     /// Model deep-clones the copy-on-write write path could not avoid: a
-    /// live [`StoreSnapshot`], a delivered event, or a log entry whose
-    /// snapshot could not be stolen still held the model's `Arc`. In
-    /// steady state (watchers keeping up, no snapshot pinned) this stays
-    /// zero — writes to watched objects are O(delta), never O(model).
+    /// live [`StoreSnapshot`], a delivered event, a log entry whose
+    /// snapshot could not be stolen, or a webhook review queued by a
+    /// prepared [`ApiServer::apply_batch`](crate::ApiServer::apply_batch)
+    /// (which keeps the old model until `observe` runs after the commit)
+    /// still held the model's `Arc`. In steady state (watchers keeping
+    /// up, no snapshot pinned, no webhooks) this stays zero — writes to
+    /// watched objects are O(delta), never O(model).
     pub deep_clones: u64,
 }
 
@@ -841,11 +923,15 @@ pub struct Store {
     /// Commit records logged since the last checkpoint; rolling past the
     /// configured interval triggers the next one.
     commits_since_ckpt: u64,
-    /// Shards that appended events since the last
-    /// [`Store::drain_dirty_watchers`] pass. The runtime's pump derives
-    /// its pending-watcher shortlist from this instead of re-deriving
-    /// every watcher's pending totals after every simulation event.
-    dirty_shards: BTreeSet<String>,
+    /// Shards that appended events since they were last routed, each
+    /// listed once (guarded by [`Shard::routing_due`]).
+    dirty_shards: Vec<Arc<str>>,
+    /// Watchers routed a possibly-pending shard since the last
+    /// [`Store::drain_dirty_watchers`] pass (with repeats). The runtime's
+    /// pump derives its pending-watcher shortlist from this instead of
+    /// re-deriving every watcher's pending totals after every simulation
+    /// event.
+    woken: Vec<WatchId>,
 }
 
 /// One mutation of a batch, addressed to the shard owning its object.
@@ -974,6 +1060,7 @@ impl Store {
                 );
             }
             let shard = Shard {
+                name: Arc::from(cs.namespace.as_str()),
                 objects: Arc::new(objects),
                 committed: cs.committed,
                 retiring: cs.retiring,
@@ -1496,11 +1583,16 @@ impl Store {
 
     /// Folds a worker-side tally into the store's global counters; called
     /// on the coordinator, in shard-name order for batches. A slice that
-    /// appended events marks its shard dirty so
-    /// [`Store::drain_dirty_watchers`] surfaces the charged watchers.
+    /// appended events queues its shard for routing (see
+    /// [`Store::route_dirty`]).
     fn finish_serial(&mut self, ns: &str, tally: ShardTally) {
-        if tally.appended > 0 && !self.dirty_shards.contains(ns) {
-            self.dirty_shards.insert(ns.to_string());
+        if tally.appended > 0 {
+            if let Some(shard) = self.shards.get_mut(ns) {
+                if !shard.routing_due {
+                    shard.routing_due = true;
+                    self.dirty_shards.push(Arc::clone(&shard.name));
+                }
+            }
         }
         self.committed_total += tally.appended;
         self.stats.events_appended += tally.appended;
@@ -1508,6 +1600,75 @@ impl Store {
         self.stats.batch_compaction_passes += tally.compaction_passes;
         self.stats.deep_clones += tally.deep_clones;
         self.stats.peak_log_len = self.stats.peak_log_len.max(tally.peak_log_len);
+    }
+
+    /// Routes every queued shard's charged slots and exact members to
+    /// their watchers: each watcher gains the shard in its pending-shard
+    /// set and joins the `woken` feed. Deferred from the commit so a burst
+    /// of commits routes each charged slot once; run before anything
+    /// reads the pending sets as complete (polls and the woken feed —
+    /// the pending queries count queued shards themselves).
+    ///
+    /// Subscription changes in between need no routing of their own: a
+    /// member that loses a charged registration is re-settled against the
+    /// ones it keeps, whose slots (or exact charges) took the same events
+    /// and route them. A member whose shard newly enters its watcher's set
+    /// had nothing pending when the shard was last routed, and no poll
+    /// ran there since; its cursor moves up past that point, because
+    /// everything older was delivered or never matched it.
+    fn route_dirty(&mut self) {
+        let Store {
+            shards,
+            watchers,
+            woken,
+            dirty_shards,
+            ..
+        } = self;
+        for ns in dirty_shards.drain(..) {
+            let Some(shard) = shards.get_mut(&*ns) else {
+                continue;
+            };
+            let Shard {
+                name,
+                all_watchers,
+                kind_watchers,
+                object_watchers,
+                members,
+                dirty_slots,
+                dirty_exact,
+                committed,
+                routed,
+                routing_due,
+                ..
+            } = shard;
+            let first = *routed + 1;
+            *routed = *committed;
+            *routing_due = false;
+            let mut route = |id: WatchId| {
+                let Some(w) = watchers.get_mut(&id) else {
+                    return;
+                };
+                woken.push(id);
+                if !w.pending.contains(name) {
+                    w.pending.push(Arc::clone(name));
+                    if let Some(m) = members.get_mut(&id) {
+                        m.cursor = m.cursor.max(first);
+                    }
+                }
+            };
+            for key in std::mem::take(dirty_slots) {
+                let slot = match &key {
+                    SlotKey::All => Some(&mut *all_watchers),
+                    SlotKey::Kind(k) => kind_watchers.get_mut(k),
+                    SlotKey::Object(o) => object_watchers.get_mut(o),
+                };
+                if let Some(slot) = slot {
+                    slot.dirty = false;
+                    slot.subs.keys().for_each(|&id| route(id));
+                }
+            }
+            std::mem::take(dirty_exact).into_iter().for_each(route);
+        }
     }
 
     /// Drains the set of watchers that *may* have gone pending since the
@@ -1518,30 +1679,11 @@ impl Store {
     /// undelivered events is always either returned here or already known
     /// to the caller. Quiescent watchers cost nothing.
     pub fn drain_dirty_watchers(&mut self) -> Vec<WatchId> {
-        if self.dirty_shards.is_empty() {
-            return Vec::new();
-        }
-        let mut out: BTreeSet<WatchId> = BTreeSet::new();
-        for ns in std::mem::take(&mut self.dirty_shards) {
-            let Some(shard) = self.shards.get_mut(&ns) else {
-                continue;
-            };
-            for key in std::mem::take(&mut shard.dirty_slots) {
-                let slot = match &key {
-                    SlotKey::All => Some(&mut shard.all_watchers),
-                    SlotKey::Kind(k) => shard.kind_watchers.get_mut(k),
-                    SlotKey::Object(o) => shard.object_watchers.get_mut(o),
-                };
-                // A slot dropped since it was charged simply contributes
-                // nothing — its watchers deregistered and owe no wake.
-                if let Some(slot) = slot {
-                    slot.dirty = false;
-                    out.extend(slot.subs.keys().copied());
-                }
-            }
-            out.append(&mut shard.dirty_exact);
-        }
-        out.into_iter().collect()
+        self.route_dirty();
+        let mut woken = std::mem::take(&mut self.woken);
+        woken.sort_unstable();
+        woken.dedup();
+        woken
     }
 
     /// Opens a watch over the union of `queries` — the one subscription
@@ -1565,17 +1707,19 @@ impl Store {
         self.watch_queries(std::slice::from_ref(q))
     }
 
-    /// Widens an existing subscription with another query. Only future
-    /// events of the newly covered scope are delivered. Returns
-    /// `Ok(false)` when the watch id is unknown (e.g. already cancelled).
+    /// Widens an existing subscription with another query. Only events
+    /// committed after this call are delivered through it, even to a
+    /// watcher that still has older events pending. Returns `Ok(false)`
+    /// when the watch id is unknown (e.g. already cancelled).
     pub fn extend_watch(&mut self, id: WatchId, q: &Query) -> Result<bool, QueryError> {
         Ok(self.attach_selector(id, q.to_selector()?))
     }
 
-    /// Removes one occurrence of a query's selector from a subscription,
-    /// re-settling pending counters so events only the removed selector
-    /// matched stop being owed. Returns `Ok(false)` when the watch id is
-    /// unknown or the selector was not part of the subscription.
+    /// Removes the newest occurrence of a query's selector from a
+    /// subscription, re-settling pending counters so events only the
+    /// removed selector matched stop being owed. Returns `Ok(false)` when
+    /// the watch id is unknown or the selector was not part of the
+    /// subscription.
     pub fn narrow_watch(&mut self, id: WatchId, q: &Query) -> Result<bool, QueryError> {
         Ok(self.detach_selector(id, &q.to_selector()?))
     }
@@ -1628,30 +1772,33 @@ impl Store {
             self.global_watchers.insert(id);
             let w = self.watchers.get_mut(&id).expect("checked above");
             for (ns, shard) in self.shards.iter_mut() {
-                shard.register(id, &selector, shard.committed + 1);
-                w.shards.insert(ns.clone());
+                shard.register(id, selector.clone());
+                if !w.shards.contains(ns) {
+                    w.shards.insert(ns.clone());
+                }
             }
-            w.selectors.push(selector);
+            w.globals.push(selector);
         } else {
             let ns = selector
                 .home_namespace()
                 .expect("non-global selector has a home namespace")
                 .to_string();
             self.ensure_shard(&ns);
-            let shard = self.shards.get_mut(&ns).expect("just ensured");
-            shard.register(id, &selector, shard.committed + 1);
+            self.shards
+                .get_mut(&ns)
+                .expect("just ensured")
+                .register(id, selector);
             let w = self.watchers.get_mut(&id).expect("checked above");
             w.shards.insert(ns);
-            w.selectors.push(selector);
         }
         true
     }
 
-    /// Removes one occurrence of `selector` from a subscription. Shards
-    /// the watcher only reached through it are released (their pending
-    /// counts refunded); shards it still holds through other selectors
-    /// re-settle their pending counters against the remaining set, so an
-    /// event only the removed selector matched stops being owed.
+    /// Removes the newest occurrence of `selector` from a subscription.
+    /// Shards the watcher only reached through it are released; shards it
+    /// still holds through other selectors re-settle their pending
+    /// counters against the remaining set, so an event only the removed
+    /// selector matched stops being owed.
     pub(crate) fn detach_selector(&mut self, id: WatchId, selector: &WatchSelector) -> bool {
         let Store {
             shards,
@@ -1662,41 +1809,37 @@ impl Store {
         let Some(w) = watchers.get_mut(&id) else {
             return false;
         };
-        let Some(pos) = w.selectors.iter().position(|s| s == selector) else {
-            return false;
-        };
-        let selector = w.selectors.remove(pos);
-        if selector.is_global() && !w.selectors.iter().any(|s| s.is_global()) {
-            global_watchers.remove(&id);
-        }
         let affected: Vec<String> = if selector.is_global() {
+            let Some(pos) = w.globals.iter().rposition(|s| s == selector) else {
+                return false;
+            };
+            w.globals.remove(pos);
+            if w.globals.is_empty() {
+                global_watchers.remove(&id);
+            }
             w.shards.iter().cloned().collect()
         } else {
             let ns = selector
                 .home_namespace()
                 .expect("non-global selector has a home namespace");
-            if w.shards.contains(ns) {
-                vec![ns.to_string()]
-            } else {
-                Vec::new()
-            }
+            vec![ns.to_string()]
         };
         for ns in &affected {
-            let shard = shards.get_mut(ns).expect("membership implies shard");
-            if shard.deregister(id, &selector) {
+            let Some(shard) = shards.get_mut(ns) else {
+                return false;
+            };
+            match shard.deregister(id, selector) {
                 // Last registration in this shard: the membership (and
                 // with it the derived pending counts) is simply gone.
-                w.shards.remove(ns);
-            } else {
-                // An exact member's counters may still include events
-                // only the removed selector matched; re-settle them
-                // against the remaining set. Cell members cannot be
-                // affected (their single slot key is unchanged).
-                let member = shard.members.get(&id).expect("deregister kept the member");
-                if matches!(member.acct, Acct::Exact { .. }) && shard.member_pending(member).0 > 0 {
-                    let (pending, bytes) = recount_pending(shard, member.cursor, &w.selectors);
-                    let m = shard.members.get_mut(&id).expect("still a member");
-                    m.acct = Acct::Exact { pending, bytes };
+                Some(true) => {
+                    w.shards.remove(ns);
+                }
+                Some(false) => shard.resettle(id),
+                // Only a homed selector can be missing (its one shard is
+                // the first and only one visited): it was never attached.
+                None => {
+                    debug_assert!(!selector.is_global(), "globals join every member shard");
+                    return false;
                 }
             }
         }
@@ -1707,6 +1850,53 @@ impl Store {
         true
     }
 
+    /// Visits the shards in `id`'s pending set, in namespace order,
+    /// handing every member with undelivered events to `visit` together
+    /// with the log index its window starts at and its pending count;
+    /// then marks those members drained and compacts their shards.
+    /// Member shards outside the set have nothing pending and are not
+    /// touched. Unknown watch ids visit nothing.
+    fn drain_pending(
+        &mut self,
+        id: WatchId,
+        mut visit: impl FnMut(&str, &Shard, &ShardMember, usize, u64),
+    ) {
+        self.route_dirty();
+        let Store {
+            shards, watchers, ..
+        } = self;
+        let Some(w) = watchers.get_mut(&id) else {
+            return;
+        };
+        let mut touched: Vec<Arc<str>> = Vec::new();
+        let mut pending = std::mem::take(&mut w.pending);
+        pending.sort_unstable();
+        for ns in pending.drain(..) {
+            let Some(shard) = shards.get_mut(&*ns) else {
+                continue;
+            };
+            let Some(member) = shard.members.get(&id) else {
+                continue;
+            };
+            let (pending, _) = shard.member_pending(member);
+            if pending == 0 {
+                continue;
+            }
+            // Compaction never reclaims past a member with pending
+            // events, so the scan window is fully resident.
+            let first_rev = shard.committed - shard.log.len() as u64 + 1;
+            let start = (member.cursor.max(first_rev) - first_rev) as usize;
+            visit(&ns, shard, member, start, pending);
+            shard.drain_member(id);
+            touched.push(ns);
+        }
+        // Keep the emptied buffer: the next routing reuses it.
+        w.pending = pending;
+        for ns in &touched {
+            self.compact_shard(ns);
+        }
+    }
+
     /// Drains pending events for a watcher: within each shard in revision
     /// order (the per-shard §3.5 guarantee); shards are visited in
     /// namespace order, with no ordering defined across namespaces.
@@ -1714,49 +1904,19 @@ impl Store {
     /// Unknown watch ids return an empty vector (the subscription may have
     /// been cancelled).
     pub fn poll(&mut self, id: WatchId) -> Vec<WatchEvent> {
-        let Store {
-            shards,
-            watchers,
-            stats,
-            ..
-        } = self;
-        let Some(w) = watchers.get_mut(&id) else {
-            return Vec::new();
-        };
         let mut out = Vec::new();
-        let mut touched: Vec<String> = Vec::new();
-        for ns in &w.shards {
-            let shard = shards.get_mut(ns).expect("membership implies shard");
-            let member = shard.members.get(&id).expect("membership implies member");
-            let (pending, _) = shard.member_pending(member);
-            if pending > 0 {
-                let first_rev = shard.committed - shard.log.len() as u64 + 1;
-                // Compaction never reclaims past a member with pending
-                // events, so the scan window is fully resident.
-                let start = (member.cursor.max(first_rev) - first_rev) as usize;
-                let before = out.len();
-                scan_window(shard, start, &w.selectors, |e, model| {
-                    out.push(WatchEvent {
-                        revision: e.revision,
-                        kind: e.kind,
-                        oref: e.oref.clone(),
-                        model: model.clone(),
-                        resource_version: e.resource_version,
-                    });
-                });
-                debug_assert_eq!(
-                    (out.len() - before) as u64,
-                    pending,
-                    "pending counter out of sync in shard {ns}"
-                );
-                touched.push(ns.clone());
-            }
-            shard.drain_member(id);
-        }
-        stats.events_delivered += out.len() as u64;
-        for ns in &touched {
-            self.compact_shard(ns);
-        }
+        self.drain_pending(id, |ns, shard, member, start, pending| {
+            let before = out.len();
+            scan_window(shard, start, &member.selectors, |e, model| {
+                out.push(e.event(model.clone()));
+            });
+            debug_assert_eq!(
+                (out.len() - before) as u64,
+                pending,
+                "pending counter out of sync in shard {ns}"
+            );
+        });
+        self.stats.events_delivered += out.len() as u64;
         out
     }
 
@@ -1770,69 +1930,45 @@ impl Store {
     /// other event — the final delivery carries the newest state (the
     /// `Deleted` event itself, if the object ended deleted).
     pub fn poll_coalesced(&mut self, id: WatchId) -> Vec<CoalescedEvent> {
-        // Predicate subscriptions judge each event by its model, so the
-        // raw stream must be materialized first; plain subscriptions take
-        // the zero-materialization path below — the newest entry per
-        // object is always a resident snapshot, so a burst of rollback
-        // entries is skipped over without reconstructing any of them.
-        let has_pred = self.watchers.get(&id).is_some_and(|w| {
-            w.selectors
-                .iter()
-                .any(|s| matches!(s, WatchSelector::Predicate(_)))
-        });
-        if has_pred {
-            let raw = self.poll(id);
-            let raw_count = raw.len() as u64;
-            let mut out: Vec<CoalescedEvent> = Vec::new();
-            let mut slots: BTreeMap<ObjectRef, usize> = BTreeMap::new();
-            for ev in raw {
-                match slots.get(&ev.oref) {
-                    Some(&i) => {
-                        // Newest snapshot wins; the count remembers the burst.
-                        out[i].event = ev;
-                        out[i].coalesced += 1;
-                    }
-                    None => {
-                        slots.insert(ev.oref.clone(), out.len());
-                        out.push(CoalescedEvent {
-                            event: ev,
-                            coalesced: 1,
-                        });
-                    }
-                }
-            }
-            self.stats.coalesced_deliveries += out.len() as u64;
-            self.stats.events_coalesced += raw_count - out.len() as u64;
-            return out;
-        }
-        let Store {
-            shards,
-            watchers,
-            stats,
-            ..
-        } = self;
-        let Some(w) = watchers.get_mut(&id) else {
-            return Vec::new();
-        };
         let mut out: Vec<CoalescedEvent> = Vec::new();
         let mut raw_total = 0u64;
-        let mut touched: Vec<String> = Vec::new();
-        for ns in &w.shards {
-            let shard = shards.get_mut(ns).expect("membership implies shard");
-            let member = shard.members.get(&id).expect("membership implies member");
-            let (pending, _) = shard.member_pending(member);
-            if pending > 0 {
-                let first_rev = shard.committed - shard.log.len() as u64 + 1;
-                let start = (member.cursor.max(first_rev) - first_rev) as usize;
-                // First pass: count matches per object and remember each
-                // object's newest entry, keeping first-occurrence order.
-                // Objects live in exactly one namespace, so per-shard
-                // coalescing equals global coalescing.
-                let mut slots: BTreeMap<&ObjectRef, usize> = BTreeMap::new();
+        self.drain_pending(id, |ns, shard, member, start, pending| {
+            // Objects live in exactly one namespace, so per-shard
+            // coalescing equals global coalescing.
+            let mut slots: BTreeMap<&ObjectRef, usize> = BTreeMap::new();
+            let mut raw_in_shard = 0u64;
+            if member.pred_refs > 0 {
+                // Predicate registrations judge each event by its model,
+                // so the raw stream is materialized first.
+                scan_window(shard, start, &member.selectors, |e, model| {
+                    raw_in_shard += 1;
+                    let event = e.event(model.clone());
+                    match slots.get(&e.oref) {
+                        Some(&i) => {
+                            // Newest snapshot wins; the count remembers
+                            // the burst.
+                            out[i].event = event;
+                            out[i].coalesced += 1;
+                        }
+                        None => {
+                            slots.insert(&e.oref, out.len());
+                            out.push(CoalescedEvent {
+                                event,
+                                coalesced: 1,
+                            });
+                        }
+                    }
+                });
+            } else {
+                // Plain registrations take the zero-materialization path:
+                // count matches per object and remember each object's
+                // newest entry, keeping first-occurrence order. The
+                // newest entry per object is always a resident snapshot,
+                // so a burst of rollback entries is skipped over without
+                // reconstructing any of them.
                 let mut found: Vec<(u64, usize)> = Vec::new();
-                let mut raw_in_shard = 0u64;
                 for (i, e) in shard.log.iter().enumerate().skip(start) {
-                    if w.selectors.iter().any(|s| s.matches(&e.oref)) {
+                    if registrations_match(&member.selectors, e, None) {
                         raw_in_shard += 1;
                         match slots.get(&e.oref) {
                             Some(&slot) => {
@@ -1846,38 +1982,26 @@ impl Store {
                         }
                     }
                 }
-                debug_assert_eq!(
-                    raw_in_shard, pending,
-                    "pending counter out of sync in shard {ns}"
-                );
-                drop(slots);
-                raw_total += raw_in_shard;
                 for (coalesced, i) in found {
                     let e = &shard.log[i];
                     let EntryModel::Snapshot(model) = &e.model else {
                         unreachable!("newest log entry per object is a snapshot")
                     };
                     out.push(CoalescedEvent {
-                        event: WatchEvent {
-                            revision: e.revision,
-                            kind: e.kind,
-                            oref: e.oref.clone(),
-                            model: model.clone(),
-                            resource_version: e.resource_version,
-                        },
+                        event: e.event(model.clone()),
                         coalesced,
                     });
                 }
-                touched.push(ns.clone());
             }
-            shard.drain_member(id);
-        }
-        stats.events_delivered += raw_total;
-        stats.coalesced_deliveries += out.len() as u64;
-        stats.events_coalesced += raw_total - out.len() as u64;
-        for ns in &touched {
-            self.compact_shard(ns);
-        }
+            debug_assert_eq!(
+                raw_in_shard, pending,
+                "pending counter out of sync in shard {ns}"
+            );
+            raw_total += raw_in_shard;
+        });
+        self.stats.events_delivered += raw_total;
+        self.stats.coalesced_deliveries += out.len() as u64;
+        self.stats.events_coalesced += raw_total - out.len() as u64;
         out
     }
 
@@ -1887,19 +2011,29 @@ impl Store {
         self.watchers.contains_key(&id)
     }
 
-    /// Returns `true` if the watcher has undelivered events. O(member
-    /// shards), no log scan: each shard answers from its charge cells or
-    /// exact counters — and the typical driver subscription spans one
-    /// shard.
-    pub fn has_pending(&self, id: WatchId) -> bool {
-        let Some(w) = self.watchers.get(&id) else {
-            return false;
-        };
-        w.shards.iter().any(|ns| {
-            let shard = self.shards.get(ns).expect("membership implies shard");
-            let m = shard.members.get(&id).expect("membership implies member");
-            shard.member_pending(m).0 > 0
+    /// Per-shard undelivered `(events, bytes)` of the watcher, over its
+    /// pending-shard set plus the shards still queued for routing — each
+    /// shard answers from its charge cells or exact counters, with no log
+    /// scan.
+    fn pending_parts(&self, id: WatchId) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let routed = self
+            .watchers
+            .get(&id)
+            .map(|w| &w.pending[..])
+            .unwrap_or(&[]);
+        let unrouted = self.dirty_shards.iter().filter(|ns| !routed.contains(ns));
+        routed.iter().chain(unrouted).filter_map(move |ns| {
+            let shard = self.shards.get(&**ns)?;
+            Some(shard.member_pending(shard.members.get(&id)?))
         })
+    }
+
+    /// Returns `true` if the watcher has undelivered events. Visits only
+    /// the shards routed to it since its last poll and those awaiting
+    /// routing — none for a quiescent watcher, however many shards it
+    /// spans.
+    pub fn has_pending(&self, id: WatchId) -> bool {
+        self.pending_parts(id).any(|(p, _)| p > 0)
     }
 
     /// The serialized size of the watcher's undelivered events — the bytes
@@ -1907,33 +2041,16 @@ impl Store {
     /// [`Store::has_pending`]; the runtime's pump loop sizes driver wake
     /// transfers with this, so it must mirror true encoded sizes exactly.
     pub fn pending_bytes(&self, id: WatchId) -> u64 {
-        let Some(w) = self.watchers.get(&id) else {
-            return 0;
-        };
-        w.shards
-            .iter()
-            .map(|ns| {
-                let shard = self.shards.get(ns).expect("membership implies shard");
-                let m = shard.members.get(&id).expect("membership implies member");
-                shard.member_pending(m).1
-            })
-            .sum()
+        self.pending_parts(id).map(|(_, b)| b).sum()
     }
 
     /// Undelivered `(events, bytes)` for the watcher, in one pass over its
-    /// member shards — what the runtime's pump loop needs per wake, so it
+    /// pending shards — what the runtime's pump loop needs per wake, so it
     /// doesn't derive the same counters twice via
     /// [`Store::has_pending`] + [`Store::pending_bytes`].
     pub fn pending_totals(&self, id: WatchId) -> (u64, u64) {
-        let Some(w) = self.watchers.get(&id) else {
-            return (0, 0);
-        };
-        w.shards.iter().fold((0, 0), |(p, b), ns| {
-            let shard = self.shards.get(ns).expect("membership implies shard");
-            let m = shard.members.get(&id).expect("membership implies member");
-            let (mp, mb) = shard.member_pending(m);
-            (p + mp, b + mb)
-        })
+        self.pending_parts(id)
+            .fold((0, 0), |(p, b), (mp, mb)| (p + mp, b + mb))
     }
 
     /// Cancels a watch subscription, releasing its compaction holds in
@@ -1943,17 +2060,10 @@ impl Store {
             return;
         };
         self.global_watchers.remove(&id);
+        self.woken.retain(|&w| w != id);
         for ns in &w.shards {
             let shard = self.shards.get_mut(ns).expect("membership implies shard");
-            for selector in &w.selectors {
-                if selector.is_global() || selector.home_namespace() == Some(ns.as_str()) {
-                    shard.deregister(id, selector);
-                }
-            }
-            debug_assert!(
-                !shard.members.contains_key(&id),
-                "all registrations released"
-            );
+            shard.remove_member(id);
         }
         for ns in &w.shards {
             self.compact_shard(ns);
@@ -2003,17 +2113,16 @@ impl Store {
             return;
         }
         let mut shard = Shard {
+            name: Arc::from(ns),
             verify_sizes: self.verify_sizes,
             ..Shard::default()
         };
         for &id in &self.global_watchers {
             let w = self.watchers.get_mut(&id).expect("global watcher is live");
-            for selector in &w.selectors {
-                if selector.is_global() {
-                    // A fresh shard starts at revision 0: cursor 1
-                    // delivers everything ever committed here.
-                    shard.register(id, selector, 1);
-                }
+            // A fresh shard starts at revision 0: registrations effective
+            // from revision 1 deliver everything ever committed here.
+            for selector in &w.globals {
+                shard.register(id, selector.clone());
             }
             w.shards.insert(ns.to_string());
         }
@@ -2033,6 +2142,11 @@ impl Store {
             return;
         }
         let shard = self.shards.remove(ns).expect("checked above");
+        // Nothing is pending in a drained shard: its queued routing (if
+        // any) goes with it, so a re-created namespace queues afresh.
+        if shard.routing_due {
+            self.dirty_shards.retain(|n| **n != *ns);
+        }
         // The drop resets the namespace's revision counter: replay must
         // see it, or a recreated namespace's commit records would replay
         // against the dead incarnation's revisions.
@@ -2047,6 +2161,7 @@ impl Store {
             );
             if let Some(w) = self.watchers.get_mut(id) {
                 w.shards.remove(ns);
+                w.pending.retain(|p| **p != *ns);
             }
         }
     }
@@ -2065,9 +2180,10 @@ impl Store {
     /// Test support: exhaustively audits the size bookkeeping against
     /// ground truth — every `enc_cache` entry equals its object's true
     /// encoded length, every sized log entry equals its (materialized)
-    /// model's true encoded length, and every member's derived pending
+    /// model's true encoded length, every member's derived pending
     /// counts equal a from-scratch recount of the log window with
-    /// freshly computed sizes.
+    /// freshly computed sizes, and every member with pending events is
+    /// listed in its watcher's pending-shard set.
     #[doc(hidden)]
     pub fn audit_sizes(&self) -> Result<(), String> {
         for (ns, shard) in &self.shards {
@@ -2084,7 +2200,7 @@ impl Store {
             }
             // Materialize the full window once and check entry sizes.
             let mut sized: Vec<(u64, u64)> = Vec::new();
-            scan_window(shard, 0, &[WatchSelector::All], |e, model| {
+            scan_window(shard, 0, &[(WatchSelector::All, 0)], |e, model| {
                 sized.push((e.bytes, json::encoded_len(model) as u64));
             });
             for (i, (stamped, truth)) in sized.iter().enumerate() {
@@ -2099,11 +2215,19 @@ impl Store {
                 let Some(w) = self.watchers.get(id) else {
                     return Err(format!("member {id:?} in {ns} has no watcher"));
                 };
+                let listed = w.pending.iter().chain(&self.dirty_shards);
+                if pending > 0 && !listed.into_iter().any(|p| **p == **ns) {
+                    return Err(format!(
+                        "member {id:?} in {ns} has {pending} pending events \
+                         but the shard is neither in its pending set nor \
+                         queued for routing"
+                    ));
+                }
                 let (mut truth_pending, mut truth_bytes) = (0u64, 0u64);
                 if !shard.log.is_empty() {
                     let first_rev = shard.committed - shard.log.len() as u64 + 1;
                     let start = (member.cursor.max(first_rev) - first_rev) as usize;
-                    scan_window(shard, start, &w.selectors, |_, model| {
+                    scan_window(shard, start, &member.selectors, |_, model| {
                         truth_pending += 1;
                         truth_bytes += json::encoded_len(model) as u64;
                     });
@@ -2269,20 +2393,38 @@ fn shard_append(
     }
 }
 
+/// `true` when one of a member's registrations covers log entry `e`: the
+/// entry is at or after the registration's effective revision, and its
+/// scope matches (`model: None`) or the concrete event does.
+fn registrations_match(
+    registrations: &[(WatchSelector, u64)],
+    e: &LogEntry,
+    model: Option<&Value>,
+) -> bool {
+    registrations.iter().any(|(s, from)| {
+        e.revision >= *from
+            && match model {
+                Some(m) => s.event_matches(&e.oref, m),
+                None => s.matches(&e.oref),
+            }
+    })
+}
+
 /// Walks the log window from index `start`, materializing each
 /// scope-matched entry's model — rolling back from the entry's successor
 /// where it is stored in rollback form — and invokes `f` for every entry
-/// whose `(oref, model)` satisfies some selector's `event_matches`.
+/// some registration in `registrations` matches.
 ///
 /// The backward pass reconstructs models newest-to-oldest per object (a
-/// rollback entry's successor is always resident, see [`LogEntry`]); the
-/// forward pass then emits in revision order. Hot-path polls touch only
-/// `Snapshot` entries and pay nothing; only laggards materialize.
-fn scan_window(
-    shard: &Shard,
+/// rollback entry's successor is always resident, see [`LogEntry`], and
+/// matches whatever registration its predecessor does); the forward pass
+/// then emits in revision order. Hot-path polls touch only `Snapshot`
+/// entries and pay nothing; only laggards materialize.
+fn scan_window<'a>(
+    shard: &'a Shard,
     start: usize,
-    selectors: &[WatchSelector],
-    mut f: impl FnMut(&LogEntry, &Shared<Value>),
+    registrations: &[(WatchSelector, u64)],
+    mut f: impl FnMut(&'a LogEntry, &Shared<Value>),
 ) {
     let n = shard.log.len();
     if start >= n {
@@ -2291,7 +2433,7 @@ fn scan_window(
     let mut models: Vec<Option<Shared<Value>>> = vec![None; n - start];
     let mut successors: BTreeMap<&ObjectRef, Shared<Value>> = BTreeMap::new();
     for (i, e) in shard.log.iter().enumerate().skip(start).rev() {
-        if !selectors.iter().any(|s| s.matches(&e.oref)) {
+        if !registrations_match(registrations, e, None) {
             continue;
         }
         let model = match &e.model {
@@ -2310,7 +2452,7 @@ fn scan_window(
     }
     for (i, e) in shard.log.iter().enumerate().skip(start) {
         if let Some(model) = &models[i - start] {
-            if selectors.iter().any(|s| s.event_matches(&e.oref, model)) {
+            if registrations_match(registrations, e, Some(model)) {
                 f(e, model);
             }
         }
@@ -2382,43 +2524,31 @@ impl Store {
         };
         let member_ids: Vec<WatchId> = shard.members.keys().copied().collect();
         for id in member_ids {
-            let w = watchers.get_mut(&id).expect("member watcher is live");
-            let homed: Vec<WatchSelector> = w
+            let homed: Vec<WatchSelector> = shard.members[&id]
                 .selectors
                 .iter()
-                .filter(|s| s.home_namespace() == Some(ns))
-                .cloned()
+                .filter(|(s, _)| !s.is_global())
+                .map(|(s, _)| s.clone())
                 .collect();
             if homed.is_empty() {
                 continue; // a purely global member keeps its cursor
             }
-            w.selectors.retain(|s| s.home_namespace() != Some(ns));
             let mut removed = false;
             for selector in &homed {
-                if shard.deregister(id, selector) {
-                    removed = true;
-                }
+                removed |= shard.deregister(id, selector) == Some(true);
             }
             if removed {
                 // Last registration gone: the member (and its derived or
                 // exact charge) went with it.
+                let w = watchers.get_mut(&id).expect("member watcher is live");
                 w.shards.remove(ns);
             } else {
-                // Still a member through global selectors. A cell member
-                // kept its sole slot (a homed `KindInNamespace` sharing
-                // the slot of a global `Kind` over a strictly wider match
-                // set), so its derived counts stay exact. Exact members'
-                // counts may include events only the cancelled selectors
-                // matched; re-settle them against the remaining set.
-                let member = shard.members.get(&id).expect("still a member");
-                if matches!(member.acct, Acct::Exact { .. }) && shard.member_pending(member).0 > 0 {
-                    let (p, b) = recount_pending(shard, member.cursor, &w.selectors);
-                    let m = shard.members.get_mut(&id).expect("still a member");
-                    m.acct = Acct::Exact {
-                        pending: p,
-                        bytes: b,
-                    };
-                }
+                // Still a member through global selectors, whose counts
+                // may include events only the cancelled selectors
+                // matched (or events older than the global
+                // registrations); re-settle them against the remaining
+                // set.
+                shard.resettle(id);
             }
         }
         shard.retiring = true;
@@ -2540,10 +2670,14 @@ fn plan_names(plan: &Plan, kind: &str, shard: &Shard) -> Option<BTreeSet<String>
     }
 }
 
-/// Counts the undelivered events from `cursor` that match `selectors`,
-/// with their serialized sizes. Used to re-settle a member's pending
-/// counters when part of its selector set is cancelled.
-fn recount_pending(shard: &Shard, cursor: u64, selectors: &[WatchSelector]) -> (u64, u64) {
+/// Counts the undelivered events from `cursor` that match
+/// `registrations`, with their serialized sizes. Used to re-settle a
+/// member's pending counters when part of its selector set is cancelled.
+fn recount_pending(
+    shard: &Shard,
+    cursor: u64,
+    registrations: &[(WatchSelector, u64)],
+) -> (u64, u64) {
     if shard.log.is_empty() {
         return (0, 0);
     }
@@ -2551,7 +2685,7 @@ fn recount_pending(shard: &Shard, cursor: u64, selectors: &[WatchSelector]) -> (
     let start = (cursor.max(first_rev) - first_rev) as usize;
     let mut pending = 0u64;
     let mut bytes = 0u64;
-    scan_window(shard, start, selectors, |e, model| {
+    scan_window(shard, start, registrations, |e, model| {
         pending += 1;
         bytes += if e.bytes != 0 {
             e.bytes
@@ -2966,7 +3100,8 @@ fn steal_tail_snapshot(
 
 /// Mutable access to the live model. When something else still holds the
 /// `Arc` — a reader's snapshot, a delivered event, an unstealable log
-/// entry — this deep-clones, and the tally counts it: the zero-copy
+/// entry, a queued webhook review — this deep-clones, and the tally
+/// counts it: the zero-copy
 /// bench asserts steady-state writes never pay that clone.
 fn cow_model<'a>(model: &'a mut Shared<Value>, tally: &mut ShardTally) -> &'a mut Value {
     if Shared::strong_count(model) > 1 {

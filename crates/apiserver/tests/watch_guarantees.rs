@@ -208,3 +208,52 @@ proptest! {
         prop_assert!(api.poll(laggard).is_empty());
     }
 }
+
+/// A widened subscription delivers only events committed after the
+/// widening, even while older events are still pending through its
+/// original selectors: the new selector must not reach back into the
+/// pending window, and the pending count that sizes the wake must agree
+/// with what the poll hands out.
+#[test]
+fn extend_watch_never_delivers_events_older_than_the_new_selector() {
+    let mut api = ApiServer::new();
+    let thing = |kind: &str, name: &str| {
+        let oref = ObjectRef::new(kind, "h1", name);
+        let model = dspace_value::json::parse(&format!(
+            r#"{{"meta": {{"kind": "{kind}", "name": "{name}", "namespace": "h1"}}, "n": 0}}"#
+        ))
+        .unwrap();
+        (oref, model)
+    };
+    let (a, model_a) = thing("A", "a");
+    let (b, model_b) = thing("B", "b");
+    let w = api
+        .watch_query(ApiServer::ADMIN, &Query::kind("A").in_ns("h1"))
+        .unwrap();
+    api.create(ApiServer::ADMIN, &a, model_a).unwrap();
+    api.create(ApiServer::ADMIN, &b, model_b).unwrap();
+    for widen in [
+        Query::kind("B").in_ns("h1"),
+        Query::kind("B").in_ns("h1").named("b"),
+        Query::kind("B"),
+        Query::all(),
+    ] {
+        api.extend_watch(ApiServer::ADMIN, w, &widen).unwrap();
+    }
+    let (pending, _) = api.pending_totals(w);
+    assert_eq!(pending, 1, "only A/a was committed inside the subscription");
+    let events = api.poll(w);
+    let seen: Vec<&ObjectRef> = events.iter().map(|e| &e.oref).collect();
+    assert_eq!(seen, vec![&a], "B/b predates every selector that covers it");
+    assert!(!api.has_pending(w));
+    api.audit_sizes().unwrap();
+
+    // Events after the widening flow through the new selectors, once.
+    api.patch_path(ApiServer::ADMIN, &b, ".n", Value::from(1.0))
+        .unwrap();
+    assert_eq!(api.pending_totals(w).0, 1);
+    let events = api.poll(w);
+    assert_eq!(events.len(), 1);
+    assert_eq!(events[0].oref, b);
+    assert_eq!(events[0].resource_version, 2);
+}
